@@ -3,16 +3,11 @@
 Every volume term uses the same degree-5 triangle rule; boundary terms use a
 5-point Gauss rule per edge.  Matrices are returned as ``scipy.sparse`` CSR
 with sorted column indices; duplicate (row, col) element contributions are
-summed on compression.
-
-The element loop can be chunked across threads; set ``BIOT_SPLIT_THREADS`` to
-cap the worker count.  Chunks are merged in element order, so the assembled
-matrix is bit-identical for any thread count.
+summed in element order.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +48,9 @@ class PhysParams:
     lam: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("E", "nu", "alpha", "c0", "K", "dt", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
         if self.E <= 0:
             raise ValueError(f"Young modulus must be positive, got E={self.E}")
         if not 0.0 < self.nu < 0.5:
@@ -78,32 +76,9 @@ class PhysParams:
         return s / (self.c0 + s)
 
 
-def _num_threads() -> int:
-    raw = os.environ.get("BIOT_SPLIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunks(n: int, parts: int):
-    bounds = np.linspace(0, n, parts + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _map_element_chunks(worker, num_elements: int):
-    """Run ``worker(lo, hi)`` over element ranges, merging results in order."""
-    threads = _num_threads()
-    spans = _chunks(num_elements, threads) if threads > 1 else [(0, num_elements)]
-    if len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: worker(*s), spans))
-    return [worker(*spans[0])]
-
-
-def _physical_gradients(inv_t, grads_ref, lo, hi):
+def _physical_gradients(inv_t, grads_ref):
     # (nt, nb, nq, 2): grad of shape i at quad point q on element t
-    return np.einsum("tab,iqb->tiqa", inv_t[lo:hi], grads_ref)
+    return np.einsum("tab,iqb->tiqa", inv_t, grads_ref)
 
 
 def assemble_form(kind: str, trial: Space, test: Space) -> sparse.csr_matrix:
@@ -127,63 +102,49 @@ def assemble_form(kind: str, trial: Space, test: Space) -> sparse.csr_matrix:
         _require_scalar(kind, trial, test)
         vals, _ = eval_basis(trial.scalar_kind, rule.points)
         ref = np.einsum("q,iq,jq->ij", w, vals, vals)
-
-        def worker(lo, hi):
-            ke = ref[None, :, :] * det[lo:hi, None, None]
-            return _scatter_scalar(ke, trial, test, lo, hi)
+        rows, cols, data = _scatter_scalar(ref[None, :, :] * det[:, None, None],
+                                           trial, test)
 
     elif kind == P_STIFFNESS:
         _require_scalar(kind, trial, test)
         _, grads_ref = eval_basis(trial.scalar_kind, rule.points)
-
-        def worker(lo, hi):
-            g = _physical_gradients(inv_t, grads_ref, lo, hi)
-            ke = np.einsum("q,tiqa,tjqa,t->tij", w, g, g, det[lo:hi])
-            return _scatter_scalar(ke, trial, test, lo, hi)
+        g = _physical_gradients(inv_t, grads_ref)
+        ke = np.einsum("q,tiqa,tjqa,t->tij", w, g, g, det)
+        rows, cols, data = _scatter_scalar(ke, trial, test)
 
     elif kind in (ELASTICITY, DIV_DIV):
         if trial.kind != P2_VECTOR or test.kind != P2_VECTOR:
             raise ValueError(f"{kind} requires vector trial and test spaces")
         _, grads_ref = eval_basis(trial.scalar_kind, rule.points)
-
-        def worker(lo, hi):
-            g = _physical_gradients(inv_t, grads_ref, lo, hi)
-            # G[t,i,j,a,b] = sum_q w_q g_i,a g_j,b |det|
-            G = np.einsum("q,tiqa,tjqb,t->tijab", w, g, g, det[lo:hi])
-            return _scatter_vector_blocks(G, kind, trial, test, lo, hi)
+        g = _physical_gradients(inv_t, grads_ref)
+        # G[t,i,j,a,b] = sum_q w_q g_i,a g_j,b |det|
+        G = np.einsum("q,tiqa,tjqb,t->tijab", w, g, g, det)
+        rows, cols, data = _scatter_vector_blocks(G, kind, test)
 
     elif kind == DIV_COUPLING:
         if trial.components != 1 or test.kind != P2_VECTOR:
             raise ValueError("div-coupling pairs a scalar trial with a vector test space")
         tvals, _ = eval_basis(trial.scalar_kind, rule.points)
         _, grads_ref = eval_basis(test.scalar_kind, rule.points)
-
-        def worker(lo, hi):
-            g = _physical_gradients(inv_t, grads_ref, lo, hi)
-            # ke[t,c,i,j] = integral of (trial_j * d/dx_c test_i)
-            ke = np.einsum("q,jq,tiqc,t->tcij", w, tvals, g, det[lo:hi])
-            tdofs = test.cell_dofs()[lo:hi]
-            qdofs = trial.cell_dofs()[lo:hi]
-            nsc = test.num_scalar_dofs
-            rows, cols, data = [], [], []
-            for c in range(2):
-                nb_t, nb_q = tdofs.shape[1], qdofs.shape[1]
-                rows.append(np.repeat(tdofs + c * nsc, nb_q, axis=1).ravel())
-                cols.append(np.tile(qdofs, (1, nb_t)).ravel())
-                data.append(ke[:, c].reshape(hi - lo, -1).ravel())
-            return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+        g = _physical_gradients(inv_t, grads_ref)
+        # ke[t,c,i,j] = integral of (trial_j * d/dx_c test_i)
+        ke = np.einsum("q,jq,tiqc,t->tcij", w, tvals, g, det)
+        tdofs, qdofs = test.cell_dofs(), trial.cell_dofs()
+        nsc = test.num_scalar_dofs
+        nb_t, nb_q = tdofs.shape[1], qdofs.shape[1]
+        rows = np.concatenate([np.repeat(tdofs + c * nsc, nb_q, axis=1).ravel()
+                               for c in range(2)])
+        cols = np.tile(np.tile(qdofs, (1, nb_t)).ravel(), 2)
+        data = np.concatenate([ke[:, c].reshape(mesh.num_triangles, -1).ravel()
+                               for c in range(2)])
 
     else:
         raise ValueError(f"unknown form kind {kind!r}")
 
-    pieces = _map_element_chunks(worker, mesh.num_triangles)
-    rows = np.concatenate([p[0] for p in pieces])
-    cols = np.concatenate([p[1] for p in pieces])
-    data = np.concatenate([p[2] for p in pieces])
-
-    # Sum duplicate (row, col) entries ourselves with a stable sort: chunking
-    # preserves the element order of duplicates, so the summation order -- and
-    # hence the rounded result -- is independent of the thread count.
+    # Sum duplicate (row, col) entries ourselves with a stable sort, so they
+    # add in element order: the rounded matrix is then fixed by the mesh
+    # numbering alone, not by the order in which scipy's duplicate summation
+    # happens to visit them (which it does not document).
     order = np.lexsort((cols, rows))
     rows, cols, data = rows[order], cols[order], data[order]
     first = np.ones(rows.size, dtype=bool)
@@ -203,17 +164,16 @@ def _require_scalar(kind, trial, test):
         raise ValueError(f"{kind} requires matching trial/test elements")
 
 
-def _scatter_scalar(ke, trial, test, lo, hi):
-    tdofs = test.cell_dofs()[lo:hi]
-    qdofs = trial.cell_dofs()[lo:hi]
+def _scatter_scalar(ke, trial, test):
+    tdofs, qdofs = test.cell_dofs(), trial.cell_dofs()
     nb_t, nb_q = tdofs.shape[1], qdofs.shape[1]
     rows = np.repeat(tdofs, nb_q, axis=1).ravel()
     cols = np.tile(qdofs, (1, nb_t)).ravel()
-    return rows, cols, ke.reshape(hi - lo, -1).ravel()
+    return rows, cols, ke.reshape(len(ke), -1).ravel()
 
 
-def _scatter_vector_blocks(G, kind, trial, test, lo, hi):
-    sdofs = test.cell_dofs()[lo:hi]
+def _scatter_vector_blocks(G, kind, test):
+    sdofs = test.cell_dofs()
     nsc = test.num_scalar_dofs
     nel, nb = sdofs.shape
     trace = G[..., 0, 0] + G[..., 1, 1]
@@ -272,25 +232,12 @@ def _volume_load(test: Space, data) -> np.ndarray:
 
     out = np.zeros(test.num_dofs)
     sdofs = test.cell_dofs()
-    nsc = test.num_scalar_dofs
-
-    def worker(lo, hi):
-        f = data(xq[lo:hi], yq[lo:hi])
-        if test.components == 1:
-            fe = np.einsum("q,iq,tq,t->ti", rule.weights, vals,
-                           np.broadcast_to(f, xq[lo:hi].shape), det[lo:hi])
-            return [(sdofs[lo:hi], fe)]
-        fx, fy = f[0], f[1]
-        pieces = []
-        for c, fc in enumerate((fx, fy)):
-            fe = np.einsum("q,iq,tq,t->ti", rule.weights, vals,
-                           np.broadcast_to(fc, xq[lo:hi].shape), det[lo:hi])
-            pieces.append((sdofs[lo:hi] + c * nsc, fe))
-        return pieces
-
-    for chunk in _map_element_chunks(worker, mesh.num_triangles):
-        for dofs, fe in chunk:
-            np.add.at(out, dofs.ravel(), fe.ravel())
+    f = data(xq, yq)
+    components = (f,) if test.components == 1 else (f[0], f[1])
+    for c, fc in enumerate(components):
+        fe = np.einsum("q,iq,tq,t->ti", rule.weights, vals,
+                       np.broadcast_to(fc, xq.shape), det)
+        np.add.at(out, (sdofs + c * test.num_scalar_dofs).ravel(), fe.ravel())
     return out
 
 
@@ -346,14 +293,15 @@ def constrain_matrix(A: sparse.spmatrix, dofs: np.ndarray) -> sparse.csr_matrix:
     return out
 
 
-def constrain_rhs(A: sparse.spmatrix, b: np.ndarray, dofs: np.ndarray,
+def constrain_rhs(columns: sparse.spmatrix, b: np.ndarray, dofs: np.ndarray,
                   values: np.ndarray) -> np.ndarray:
     """Right-hand side matching :func:`constrain_matrix`.
 
-    Moves the known boundary values through the unconstrained matrix columns
+    ``columns`` is the unconstrained matrix's column slice from
+    :func:`dirichlet_columns`.  Moves the known boundary values through it
     (b <- b - A[:, dofs] @ values) and pins the constrained entries.
     """
-    out = b - dirichlet_columns(A, dofs) @ values
+    out = b - columns @ values
     out[dofs] = values
     return out
 
@@ -363,23 +311,16 @@ def dirichlet_columns(A: sparse.spmatrix, dofs: np.ndarray) -> sparse.csc_matrix
     return sparse.csc_matrix(A)[:, dofs]
 
 
-def apply_dirichlet(A: sparse.spmatrix, b: np.ndarray, space: Space,
-                    g, t: float, offset: int = 0):
-    """Impose ``u = g(x, y, t)`` on the space's Dirichlet sides.
+def dirichlet_values(space: Space, g) -> np.ndarray:
+    """Evaluate a ``g(x, y)`` profile at the constrained nodes.
 
-    ``offset`` shifts the space's dofs inside a larger block system.  Returns
-    the constrained ``(A, b)`` pair; the inputs are not modified.
+    Vector data come back as component blocks; ``g=None`` gives zeros.
     """
-    dofs = space.dirichlet_dofs() + offset
-    values = dirichlet_values(space, g, t)
-    return constrain_matrix(A, dofs), constrain_rhs(A, b, dofs, values)
-
-
-def dirichlet_values(space: Space, g, t: float) -> np.ndarray:
-    """Evaluate boundary data at the constrained nodes (component blocks for vectors)."""
     scalar = space.boundary_scalar_dofs(space.dirichlet_tags)
+    if g is None:
+        return np.zeros(space.components * len(scalar))
     coords = space.dof_coords()[scalar]
-    out = g(coords[:, 0], coords[:, 1], t)
+    out = g(coords[:, 0], coords[:, 1])
     if space.components == 1:
         return np.broadcast_to(np.asarray(out, dtype=float), scalar.shape).copy()
     gx, gy = out

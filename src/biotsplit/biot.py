@@ -20,8 +20,9 @@ loads and boundary data are separable profiles scaled by a time factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sparse
@@ -29,9 +30,9 @@ import scipy.sparse as sparse
 from .assembly import (BOUNDARY_FLUX, BOUNDARY_TRACTION, DIV_COUPLING, DIV_DIV,
                        ELASTICITY, MASS, P_STIFFNESS, VOLUME_LOAD, PhysParams,
                        assemble_form, assemble_functional, constrain_matrix,
-                       dirichlet_columns)
+                       constrain_rhs, dirichlet_columns, dirichlet_values)
 from .fem import P1, P2_VECTOR, FieldVector, Space
-from .linalg import Factorization, cg_solve, lu_factor
+from .linalg import Factorization, lu_factor
 from .mesh import DIRICHLET_TAGS, NEUMANN_TAGS, TriMesh
 
 
@@ -76,15 +77,11 @@ class _ConstrainedSolver:
     def __init__(self, matrix: sparse.csr_matrix, dofs: np.ndarray):
         self.dofs = dofs
         self.matrix = constrain_matrix(matrix, dofs)
-        self._bc_cols = dirichlet_columns(matrix, dofs) if len(dofs) else None
+        self._bc_cols = dirichlet_columns(matrix, dofs)
         self.fact: Factorization = lu_factor(self.matrix)
 
     def constrain(self, b_raw: np.ndarray, bc_values: np.ndarray) -> np.ndarray:
-        b = b_raw.copy()
-        if self._bc_cols is not None:
-            b -= self._bc_cols @ bc_values
-            b[self.dofs] = bc_values
-        return b
+        return constrain_rhs(self._bc_cols, b_raw, self.dofs, bc_values)
 
     def solve(self, b_raw: np.ndarray, bc_values: np.ndarray) -> np.ndarray:
         return self.fact.solve(self.constrain(b_raw, bc_values))
@@ -98,17 +95,16 @@ class DiscreteSystem:
       div_coupling (q, div v)          rows: vector dofs, cols: P1 dofs
       mass        (p, q)               P1 x P1
       stiffness   (grad p, grad q)     P1 x P1
+
+    Solvers are factored on first use, one per block system (see
+    ``solver``); every solve enters ``max_solver_residual``.
     """
 
     def __init__(self, mesh: TriMesh, params: PhysParams, loads: LoadSet,
-                 dirichlet_tags=DIRICHLET_TAGS, neumann_tags=NEUMANN_TAGS,
-                 pressure_solver: str = "lu"):
-        if pressure_solver not in ("lu", "cg"):
-            raise ValueError(f"unknown pressure solver {pressure_solver!r}")
+                 dirichlet_tags=DIRICHLET_TAGS, neumann_tags=NEUMANN_TAGS):
         self.mesh = mesh
         self.params = params
         self.loads = loads
-        self.pressure_solver = pressure_solver
 
         self.V = Space(mesh, P2_VECTOR, tuple(dirichlet_tags))
         self.W = Space(mesh, P1)
@@ -137,72 +133,46 @@ class DiscreteSystem:
 
         self.bd_u = self.V.dirichlet_dofs()
         self.bd_p = self.M.dirichlet_dofs()
-        self.gu_profile = self._bc_profile(self.V, loads.displacement_bc)
-        self.gp_profile = self._bc_profile(self.M, loads.pressure_bc)
+        self.gu_profile = dirichlet_values(self.V, loads.displacement_bc)
+        self.gp_profile = dirichlet_values(self.M, loads.pressure_bc)
 
         self._solvers: dict[str, _ConstrainedSolver] = {}
         self._div_div = None
-        self._mass_fact = None
 
-    # -- assembly helpers -------------------------------------------------
-
-    def _bc_profile(self, space: Space, g) -> np.ndarray:
-        scalar = space.boundary_scalar_dofs(space.dirichlet_tags)
-        size = space.components * len(scalar)
-        if g is None:
-            return np.zeros(size)
-        coords = space.dof_coords()[scalar]
-        out = g(coords[:, 0], coords[:, 1])
-        if space.components == 1:
-            return np.broadcast_to(np.asarray(out, dtype=float), (size,)).copy()
-        gx, gy = out
-        return np.concatenate([
-            np.broadcast_to(np.asarray(gx, dtype=float), scalar.shape),
-            np.broadcast_to(np.asarray(gy, dtype=float), scalar.shape)])
+    # -- block systems ------------------------------------------------------
 
     @property
     def _coef(self):
         p = self.params
         return p.c0 + p.alpha ** 2 / p.lam, p.alpha / p.lam  # (c_p, c_xi)
 
-    def _coupled(self) -> _ConstrainedSolver:
-        if "coupled" not in self._solvers:
-            p = self.params
-            c_p, c_xi = self._coef
-            A = sparse.bmat([
+    def _block(self, name: str):
+        """Raw matrix and Dirichlet dofs of one block system."""
+        p = self.params
+        c_p, c_xi = self._coef
+        if name == "coupled":
+            return sparse.bmat([
                 [2 * p.mu * self.elasticity, -self.div_coupling, None],
                 [-self.div_coupling.T, -(1 / p.lam) * self.mass, c_xi * self.mass],
                 [None, c_xi * self.mass,
                  -(c_p * self.mass + p.K * p.dt * self.stiffness)],
-            ], format="csr")
-            dofs = np.concatenate([self.bd_u, self.offsets[2] + self.bd_p])
-            self._solvers["coupled"] = _ConstrainedSolver(A, dofs)
-        return self._solvers["coupled"]
-
-    def _stokes(self) -> _ConstrainedSolver:
-        if "stokes" not in self._solvers:
-            p = self.params
-            A = sparse.bmat([
+            ], format="csr"), np.concatenate([self.bd_u, self.offsets[2] + self.bd_p])
+        if name == "stokes":
+            return sparse.bmat([
                 [2 * p.mu * self.elasticity, -self.div_coupling],
                 [-self.div_coupling.T, -(1 / p.lam) * self.mass],
-            ], format="csr")
-            self._solvers["stokes"] = _ConstrainedSolver(A, self.bd_u)
-        return self._solvers["stokes"]
+            ], format="csr"), self.bd_u
+        if name == "pressure":
+            return (c_p * self.mass + p.K * p.dt * self.stiffness).tocsr(), self.bd_p
+        if name == "mass":
+            return self.mass.tocsr(), np.array([], dtype=np.int64)
+        raise ValueError(f"unknown block system {name!r}")
 
-    def _pressure(self) -> _ConstrainedSolver:
-        if "pressure" not in self._solvers:
-            p = self.params
-            c_p, _ = self._coef
-            A = (c_p * self.mass + p.K * p.dt * self.stiffness).tocsr()
-            self._solvers["pressure"] = _ConstrainedSolver(A, self.bd_p)
-        return self._solvers["pressure"]
-
-    def _solve_pressure(self, b_raw: np.ndarray, bc_values: np.ndarray) -> np.ndarray:
-        solver = self._pressure()
-        if self.pressure_solver == "cg":
-            x, _ = cg_solve(solver.matrix, solver.constrain(b_raw, bc_values), tol=1e-13)
-            return x
-        return solver.solve(b_raw, bc_values)
+    def solver(self, name: str) -> _ConstrainedSolver:
+        """The factored ``coupled``, ``stokes``, ``pressure`` or ``mass`` system."""
+        if name not in self._solvers:
+            self._solvers[name] = _ConstrainedSolver(*self._block(name))
+        return self._solvers[name]
 
     # -- norms and diagnostics --------------------------------------------
 
@@ -221,8 +191,9 @@ class DiscreteSystem:
         return float(np.sqrt(max(u_values @ (self._div_div @ u_values), 0.0)))
 
     def max_solver_residual(self) -> float:
-        return max((s.fact.max_rel_residual for s in self._solvers.values()),
-                   default=0.0)
+        """Worst relative residual of any solve so far; NaN if any was NaN."""
+        return float(np.max([s.fact.max_rel_residual for s in self._solvers.values()],
+                            initial=0.0))
 
     def project_total_pressure(self, u_values: np.ndarray,
                                p_values: np.ndarray) -> np.ndarray:
@@ -232,10 +203,8 @@ class DiscreteSystem:
         initial level, which the discrete energy identity requires.
         """
         p = self.params
-        if self._mass_fact is None:
-            self._mass_fact = lu_factor(self.mass.tocsr())
         rhs = p.alpha * (self.mass @ p_values) - p.lam * (self.div_coupling.T @ u_values)
-        return self._mass_fact.solve(rhs)
+        return self.solver("mass").solve(rhs, np.zeros(0))
 
     def state(self, u_values, xi_values, p_values, t: float) -> BiotState:
         return BiotState(FieldVector(self.V, u_values), FieldVector(self.W, xi_values),
@@ -257,11 +226,9 @@ class DiscreteSystem:
 
 
 def build_system(mesh: TriMesh, params: PhysParams, loads: LoadSet,
-                 dirichlet_tags=DIRICHLET_TAGS, neumann_tags=NEUMANN_TAGS,
-                 pressure_solver: str = "lu") -> DiscreteSystem:
+                 dirichlet_tags=DIRICHLET_TAGS, neumann_tags=NEUMANN_TAGS) -> DiscreteSystem:
     """Assemble all blocks and load profiles for one mesh level."""
-    return DiscreteSystem(mesh, params, loads, dirichlet_tags, neumann_tags,
-                          pressure_solver)
+    return DiscreteSystem(mesh, params, loads, dirichlet_tags, neumann_tags)
 
 
 def step_coupled(sys: DiscreteSystem, state: BiotState) -> BiotState:
@@ -276,7 +243,7 @@ def step_coupled(sys: DiscreteSystem, state: BiotState) -> BiotState:
         -sys._pressure_rhs_base(state, t),
     ])
     gu, gp = sys._bc_values(t)
-    x = sys._coupled().solve(b, np.concatenate([gu, gp]))
+    x = sys.solver("coupled").solve(b, np.concatenate([gu, gp]))
     o = sys.offsets
     return sys.state(x[o[0]:o[1]], x[o[1]:o[2]], x[o[2]:o[3]], t)
 
@@ -287,7 +254,7 @@ def _solve_stokes(sys: DiscreteSystem, p_values: np.ndarray, t: float,
     _, c_xi = sys._coef
     tf = sys.loads.time_factor(t)
     b = np.concatenate([tf * sys.fu_profile, -c_xi * (sys.mass @ p_values)])
-    x = sys._stokes().solve(b, gu)
+    x = sys.solver("stokes").solve(b, gu)
     nv = sys.offsets[1]
     return x[:nv], x[nv:]
 
@@ -301,7 +268,7 @@ def step_te_decoupled(sys: DiscreteSystem, state: BiotState) -> BiotState:
     u_new, xi_new = _solve_stokes(sys, state.p.values, t, gu)
     _, c_xi = sys._coef
     b_p = sys._pressure_rhs_base(state, t) + c_xi * (sys.mass @ xi_new)
-    p_new = sys._solve_pressure(b_p, gp)
+    p_new = sys.solver("pressure").solve(b_p, gp)
     return sys.state(u_new, xi_new, p_new, t)
 
 
@@ -325,22 +292,12 @@ def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = No
     if tol is not None and tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
-    p = sys.params
-    t = state.t + p.dt
-    gu, gp = sys._bc_values(t)
-    base = sys._pressure_rhs_base(state, t)
-    _, c_xi = sys._coef
-
-    it_state = (start or state)
-    u_i, xi_i, p_i = (it_state.u.values.copy(), it_state.xi.values.copy(),
-                      it_state.p.values.copy())
+    xi_i = (start or state).xi.values
     increments: list[float] = []
     budget = iters if iters is not None else max_iters
-    for _ in range(budget):
-        p_i = sys._solve_pressure(base + c_xi * (sys.mass @ xi_i), gp)
-        u_i, xi_new = _solve_stokes(sys, p_i, t, gu)
-        increments.append(sys.l2_p1(xi_new - xi_i))
-        xi_i = xi_new
+    for it_state in islice(_split_sweeps(sys, state, start), budget):
+        increments.append(sys.l2_p1(it_state.xi.values - xi_i))
+        xi_i = it_state.xi.values
         if tol is not None and increments[-1] <= tol:
             break
     else:
@@ -348,7 +305,22 @@ def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = No
             raise ConvergenceFailure(
                 f"decoupling iteration did not reach tol={tol:g} within "
                 f"{max_iters} iterations", increments)
-    return sys.state(u_i, xi_i, p_i, t), increments
+    return it_state, increments
+
+
+def _split_sweeps(sys: DiscreteSystem, state: BiotState,
+                  start: BiotState | None = None) -> Iterator[BiotState]:
+    """The split iterates of the step after ``state``: one pressure solve and
+    one Stokes solve per sweep, starting from ``start`` (default ``state``)."""
+    t = state.t + sys.params.dt
+    gu, gp = sys._bc_values(t)
+    base = sys._pressure_rhs_base(state, t)
+    _, c_xi = sys._coef
+    xi_i = (start or state).xi.values
+    while True:
+        p_i = sys.solver("pressure").solve(base + c_xi * (sys.mass @ xi_i), gp)
+        u_i, xi_i = _solve_stokes(sys, p_i, t, gu)
+        yield sys.state(u_i, xi_i, p_i, t)
 
 
 class ConvergenceFailure(RuntimeError):
@@ -359,20 +331,27 @@ class ConvergenceFailure(RuntimeError):
         self.history = history
 
 
+#: Algorithm name -> one time step as ``(sys, state, iters, tol) -> state``.
+#: Each entry looks its stepper up when called, so rebinding ``step_coupled``
+#: and its siblings on this module reaches ``advance`` too.
+STEPPERS = {
+    "coupled": lambda sys, state, iters, tol: step_coupled(sys, state),
+    "te": lambda sys, state, iters, tol: step_te_decoupled(sys, state),
+    "iterative": lambda sys, state, iters, tol: step_iterative(
+        sys, state, iters=iters, tol=tol)[0],
+}
+
+
 def advance(sys: DiscreteSystem, state: BiotState, num_steps: int,
             algorithm: str = "coupled", iters: int | None = None,
             tol: float | None = None, keep_states: bool = False):
     """March ``num_steps`` steps; returns the final state (and all states if asked)."""
+    if algorithm not in STEPPERS:
+        raise ValueError(f"unknown algorithm {algorithm!r} (have {tuple(STEPPERS)})")
+    step = STEPPERS[algorithm]
     states = [state]
     for _ in range(num_steps):
-        if algorithm == "coupled":
-            state = step_coupled(sys, state)
-        elif algorithm == "te":
-            state = step_te_decoupled(sys, state)
-        elif algorithm == "iterative":
-            state, _ = step_iterative(sys, state, iters=iters, tol=tol)
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+        state = step(sys, state, iters, tol)
         if keep_states:
             states.append(state)
     return states if keep_states else state
@@ -426,21 +405,12 @@ def contraction_monitor(sys: DiscreteSystem, state: BiotState, imax: int = 25,
     """
     p = sys.params
     reference = step_coupled(sys, state)
-    t = reference.t
-    gu, gp = sys._bc_values(t)
-    base = sys._pressure_rhs_base(state, t)
-    _, c_xi = sys._coef
-
-    it_state = start or state
-    xi_i = it_state.xi.values.copy()
-    xi_errors = [sys.l2_p1(xi_i - reference.xi.values)]
+    xi_errors = [sys.l2_p1((start or state).xi.values - reference.xi.values)]
     p_errors, strain_errors = [], []
-    for _ in range(imax):
-        p_i = sys._solve_pressure(base + c_xi * (sys.mass @ xi_i), gp)
-        u_i, xi_i = _solve_stokes(sys, p_i, t, gu)
-        xi_errors.append(sys.l2_p1(xi_i - reference.xi.values))
-        p_errors.append(sys.l2_p1(p_i - reference.p.values))
-        strain_errors.append(sys.strain_norm(u_i - reference.u.values))
+    for it_state in islice(_split_sweeps(sys, state, start), imax):
+        xi_errors.append(sys.l2_p1(it_state.xi.values - reference.xi.values))
+        p_errors.append(sys.l2_p1(it_state.p.values - reference.p.values))
+        strain_errors.append(sys.strain_norm(it_state.u.values - reference.u.values))
 
     xi_errors = np.array(xi_errors)
     # ratios are meaningful only while the previous error is above the noise

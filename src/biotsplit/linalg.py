@@ -2,15 +2,10 @@
 
 Every solve records its relative residual ``||Ax - b|| / ||b||`` so a run can
 prove after the fact that no linear system was solved sloppily; the benchmark
-marks its report tainted if any residual exceeded 1e-9.
-
-``Factorization`` objects are immutable after construction except for the
-residual log; ``solve`` serializes internally (a lock guards the SuperLU
-triangular solve and the log update), so concurrent calls are safe.
+marks its report tainted if any residual exceeded 1e-9.  A NaN residual sticks
+in the log, so it cannot hide behind a later finite one.
 """
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import scipy.sparse as sparse
@@ -37,7 +32,6 @@ class Factorization:
     def __init__(self, matrix: sparse.csr_matrix, lu):
         self._matrix = matrix
         self._lu = lu
-        self._lock = threading.Lock()
         self.num_solves = 0
         self.max_rel_residual = 0.0
 
@@ -48,13 +42,13 @@ class Factorization:
     def solve(self, b: np.ndarray, return_residual: bool = False):
         """Solve Ax = b; records the relative residual of this solve."""
         b = np.asarray(b, dtype=float)
-        with self._lock:
-            x = self._lu.solve(b)
-            r = self._matrix @ x - b
-            bnorm = float(np.linalg.norm(b))
-            rel = float(np.linalg.norm(r)) / bnorm if bnorm > 0 else float(np.linalg.norm(r))
-            self.num_solves += 1
-            self.max_rel_residual = max(self.max_rel_residual, rel)
+        x = self._lu.solve(b)
+        r = self._matrix @ x - b
+        bnorm = float(np.linalg.norm(b))
+        rel = float(np.linalg.norm(r)) / bnorm if bnorm > 0 else float(np.linalg.norm(r))
+        self.num_solves += 1
+        if np.isnan(rel) or rel > self.max_rel_residual:
+            self.max_rel_residual = rel
         return (x, r) if return_residual else x
 
 

@@ -18,10 +18,11 @@ from biotsplit.assembly import (
     P_STIFFNESS,
     VOLUME_LOAD,
     PhysParams,
-    apply_dirichlet,
     assemble_form,
     assemble_functional,
     constrain_matrix,
+    constrain_rhs,
+    dirichlet_columns,
     dirichlet_values,
     export_matrix,
 )
@@ -175,18 +176,6 @@ def test_flipped_triangle_rejected():
         assemble_form(MASS, space, space)
 
 
-def test_assembly_deterministic_across_thread_counts(monkeypatch):
-    mesh = build_uniform(6)
-    space = Space(mesh, "p2-vector")
-    monkeypatch.setenv("BIOT_SPLIT_THREADS", "1")
-    K1 = assemble_form(ELASTICITY, space, space)
-    monkeypatch.setenv("BIOT_SPLIT_THREADS", "4")
-    K4 = assemble_form(ELASTICITY, space, space)
-    assert np.array_equal(K1.indptr, K4.indptr)
-    assert np.array_equal(K1.indices, K4.indices)
-    assert np.array_equal(K1.data, K4.data)  # bit-identical, not just close
-
-
 def test_volume_load_pairs_exactly():
     # F_i = int f phi_i, so F . q = int f q_h for q_h in the space
     mesh = build_uniform(4)
@@ -271,8 +260,10 @@ def test_apply_dirichlet_reproduces_linear_solution():
     mesh = build_uniform(4)
     space = Space(mesh, "p2", dirichlet_tags=(1, 3))
     K = assemble_form(P_STIFFNESS, space, space)
-    A, b = apply_dirichlet(K, np.zeros(space.num_dofs), space,
-                           lambda x, y, t: x, 0.0)
+    dofs = space.dirichlet_dofs()
+    A = constrain_matrix(K, dofs)
+    b = constrain_rhs(dirichlet_columns(K, dofs), np.zeros(space.num_dofs), dofs,
+                      dirichlet_values(space, lambda x, y: x))
     u = spla.spsolve(A.tocsc(), b)
     np.testing.assert_allclose(u, space.dof_coords()[:, 0], atol=1e-12)
 
@@ -280,7 +271,7 @@ def test_apply_dirichlet_reproduces_linear_solution():
 def test_dirichlet_values_vector_layout():
     mesh = build_uniform(3)
     space = Space(mesh, "p2-vector", dirichlet_tags=(1,))
-    vals = dirichlet_values(space, lambda x, y, t: (x + y * t, y), 2.0)
+    vals = dirichlet_values(space, lambda x, y: (x + y * 2.0, y))
     coords = space.dof_coords()[space.boundary_scalar_dofs((1,))]
     expect = np.concatenate([coords[:, 0] + 2.0 * coords[:, 1], coords[:, 1]])
     np.testing.assert_allclose(vals, expect, atol=1e-15)
@@ -299,7 +290,10 @@ def test_phys_params_lame_constants():
 
 def test_phys_params_validation():
     for bad in (dict(E=0.0), dict(nu=0.5), dict(nu=0.0), dict(alpha=0.0),
-                dict(c0=-1.0), dict(K=0.0), dict(dt=0.0), dict(dt=0.1, T=0.01)):
+                dict(c0=-1.0), dict(K=0.0), dict(dt=0.0), dict(dt=0.1, T=0.01),
+                dict(E=np.nan), dict(E=np.inf), dict(nu=np.nan), dict(alpha=np.inf),
+                dict(c0=np.nan), dict(c0=np.inf), dict(K=np.nan), dict(K=np.inf),
+                dict(dt=np.nan), dict(T=np.nan), dict(T=np.inf)):
         with pytest.raises(ValueError):
             PhysParams(**bad)
 

@@ -1,9 +1,13 @@
 """Benchmark harness: presets, error norms, studies, CSV/JSON reports."""
+import collections
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
+from biotsplit import benchmark, biot
 from biotsplit.benchmark import (
     CSV_HEADER,
     ErrorSet,
@@ -137,15 +141,49 @@ def test_csv_layout(tiny_study):
     float(second[2])  # errors parse as numbers
 
 
-def test_csv_bytes_deterministic_across_runs_and_threads(monkeypatch):
+def test_csv_bytes_deterministic_across_runs():
     case = make_case("nu03", T=2e-3)
-    monkeypatch.setenv("BIOT_SPLIT_THREADS", "1")
     a = study_csv(run_study("coupled", case, levels=2, n0=4))
     b = study_csv(run_study("coupled", case, levels=2, n0=4))
     assert a == b
-    monkeypatch.setenv("BIOT_SPLIT_THREADS", "3")
-    c = study_csv(run_study("coupled", case, levels=2, n0=4))
-    assert a == c
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_nan_residual_taints_the_study(tiny_study, level):
+    study = copy.deepcopy(tiny_study)
+    study.rows[level].max_residual = float("nan")
+    assert math.isnan(study.max_residual)
+    assert study.tainted
+    assert study_report(study)["solver"]["tainted"] is True
+
+
+def test_run_study_calls_the_module_level_names(monkeypatch):
+    # The traced benchmark wraps these names on their modules, so run_study
+    # must look each one up when it calls it.
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("step_coupled", "step_te_decoupled", "step_iterative", "lu_factor"):
+        count(biot, name)
+    count(benchmark, "build_system")
+    case = make_case("nu03", T=2e-3)  # two steps per level, two levels
+    expected = {
+        "coupled": {"build_system": 2, "lu_factor": 2, "step_coupled": 4},
+        "te": {"build_system": 2, "lu_factor": 4, "step_te_decoupled": 4},
+        "iterative": {"build_system": 2, "lu_factor": 4, "step_iterative": 4},
+    }
+    for algorithm, want in expected.items():
+        calls.clear()
+        run_study(algorithm, case, levels=2, n0=2,
+                  iters=2 if algorithm == "iterative" else None)
+        assert calls == want, algorithm
 
 
 def test_report_structure(tiny_study):

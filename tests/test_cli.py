@@ -1,11 +1,13 @@
 """Command-line interface: config handling, exit codes, artifacts, checks."""
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.io
 
-from biotsplit.cli import CHECK_NAMES, ConfigError, main, parse_config
+from biotsplit.cli import (CHECK_NAMES, RATE_FLOORS, ConfigError, _check_rates, main,
+                           parse_config)
 
 TINY = ["--preset", "nu03", "--T", "2e-3", "--n0", "4", "--levels", "2"]
 
@@ -77,6 +79,19 @@ def test_levels_floor_enforced():
 def test_invalid_physical_parameter_exits_2(capsys):
     assert main(TINY + ["--nu", "0.6"]) == 2
     assert "Poisson" in capsys.readouterr().err
+    for flag in (["--dt", "nan"], ["--E", "nan"], ["--K", "inf"]):
+        assert main(TINY + flag) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
+def test_nan_rate_fails_rate_check():
+    finest = {k: floor + 0.5 for k, floor in RATE_FLOORS.items()}
+    study = SimpleNamespace(rates=lambda: [None, finest])
+    assert _check_rates(study)[0]
+    finest["h1_p"] = float("nan")
+    ok, detail = _check_rates(study)
+    assert not ok
+    assert list(detail["violations"]) == ["h1_p"]
 
 
 def test_iterative_needs_iter_or_tol(capsys):

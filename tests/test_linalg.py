@@ -71,6 +71,18 @@ def test_lu_numerically_singular():
         lu_factor(A)
 
 
+def test_nan_residual_sticks_in_the_log(rng):
+    fact = lu_factor(random_spd(6, rng))
+    fact.solve(rng.standard_normal(6))
+    b = rng.standard_normal(6)
+    b[2] = np.nan
+    fact.solve(b)
+    assert np.isnan(fact.max_rel_residual)
+    fact.solve(rng.standard_normal(6))  # a later finite residual must not mask it
+    assert np.isnan(fact.max_rel_residual)
+    assert fact.num_solves == 3
+
+
 def test_factorization_reuse_is_bit_identical(rng):
     A = random_spd(30, rng)
     fact = lu_factor(A)
