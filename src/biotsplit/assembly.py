@@ -15,7 +15,8 @@ import scipy.io
 import scipy.sparse as sparse
 
 from . import fem
-from .fem import P1, P2_VECTOR, Space, affine_maps, edge_quadrature, eval_basis, quadrature
+from .fem import (P1, P2_VECTOR, Space, affine_maps, edge_quadrature, eval_basis,
+                  physical_gradients, physical_points, quadrature)
 from .mesh import NEUMANN_TAGS, SIDE_NORMALS, TriMesh
 
 ELASTICITY = "elasticity"      # (eps(u), eps(v)) on the vector space
@@ -76,11 +77,6 @@ class PhysParams:
         return s / (self.c0 + s)
 
 
-def _physical_gradients(inv_t, grads_ref):
-    # (nt, nb, nq, 2): grad of shape i at quad point q on element t
-    return np.einsum("tab,iqb->tiqa", inv_t, grads_ref)
-
-
 def assemble_form(kind: str, trial: Space, test: Space) -> sparse.csr_matrix:
     """Assemble a unit-coefficient bilinear form into a CSR matrix.
 
@@ -90,61 +86,21 @@ def assemble_form(kind: str, trial: Space, test: Space) -> sparse.csr_matrix:
     """
     if trial.mesh is not test.mesh:
         raise ValueError("trial and test spaces must share a mesh")
-    mesh = trial.mesh
-    rule = quadrature(fem.DEFAULT_DEGREE)
-    w = rule.weights
-    _, inv_t, det = affine_maps(mesh)
-    if np.any(det <= 0):
-        bad = int(np.argmax(det <= 0))
-        raise ValueError(f"triangle {bad} has non-positive area")
-
-    if kind == MASS:
-        _require_scalar(kind, trial, test)
-        vals, _ = eval_basis(trial.scalar_kind, rule.points)
-        ref = np.einsum("q,iq,jq->ij", w, vals, vals)
-        rows, cols, data = _scatter_scalar(ref[None, :, :] * det[:, None, None],
-                                           trial, test)
-
-    elif kind == P_STIFFNESS:
-        _require_scalar(kind, trial, test)
-        _, grads_ref = eval_basis(trial.scalar_kind, rule.points)
-        g = _physical_gradients(inv_t, grads_ref)
-        ke = np.einsum("q,tiqa,tjqa,t->tij", w, g, g, det)
-        rows, cols, data = _scatter_scalar(ke, trial, test)
-
-    elif kind in (ELASTICITY, DIV_DIV):
-        if trial.kind != P2_VECTOR or test.kind != P2_VECTOR:
-            raise ValueError(f"{kind} requires vector trial and test spaces")
-        _, grads_ref = eval_basis(trial.scalar_kind, rule.points)
-        g = _physical_gradients(inv_t, grads_ref)
-        # G[t,i,j,a,b] = sum_q w_q g_i,a g_j,b |det|
-        G = np.einsum("q,tiqa,tjqb,t->tijab", w, g, g, det)
-        rows, cols, data = _scatter_vector_blocks(G, kind, test)
-
-    elif kind == DIV_COUPLING:
-        if trial.components != 1 or test.kind != P2_VECTOR:
-            raise ValueError("div-coupling pairs a scalar trial with a vector test space")
-        tvals, _ = eval_basis(trial.scalar_kind, rule.points)
-        _, grads_ref = eval_basis(test.scalar_kind, rule.points)
-        g = _physical_gradients(inv_t, grads_ref)
-        # ke[t,c,i,j] = integral of (trial_j * d/dx_c test_i)
-        ke = np.einsum("q,jq,tiqc,t->tcij", w, tvals, g, det)
-        tdofs, qdofs = test.cell_dofs(), trial.cell_dofs()
-        nsc = test.num_scalar_dofs
-        nb_t, nb_q = tdofs.shape[1], qdofs.shape[1]
-        rows = np.concatenate([np.repeat(tdofs + c * nsc, nb_q, axis=1).ravel()
-                               for c in range(2)])
-        cols = np.tile(np.tile(qdofs, (1, nb_t)).ravel(), 2)
-        data = np.concatenate([ke[:, c].reshape(mesh.num_triangles, -1).ravel()
-                               for c in range(2)])
-
-    else:
-        raise ValueError(f"unknown form kind {kind!r}")
+    blocks = _element_blocks(kind, trial, test)
+    tdofs, qdofs = test.cell_dofs(), trial.cell_dofs()
+    nb_t, nb_q = tdofs.shape[1], qdofs.shape[1]
+    rows = np.concatenate([np.repeat(tdofs + c * test.num_scalar_dofs, nb_q, axis=1).ravel()
+                           for c, _ in blocks])
+    cols = np.concatenate([np.tile(qdofs + d * trial.num_scalar_dofs, (1, nb_t)).ravel()
+                           for _, d in blocks])
+    data = np.concatenate([ke.reshape(len(ke), -1).ravel() for ke in blocks.values()])
+    del blocks  # released before the sort, which is the memory peak of assembly
 
     # Sum duplicate (row, col) entries ourselves with a stable sort, so they
     # add in element order: the rounded matrix is then fixed by the mesh
     # numbering alone, not by the order in which scipy's duplicate summation
-    # happens to visit them (which it does not document).
+    # happens to visit them (which it does not document).  Each (row, col)
+    # pair comes from exactly one block, so the block order does not matter.
     order = np.lexsort((cols, rows))
     rows, cols, data = rows[order], cols[order], data[order]
     first = np.ones(rows.size, dtype=bool)
@@ -157,40 +113,62 @@ def assemble_form(kind: str, trial: Space, test: Space) -> sparse.csr_matrix:
         shape=(test.num_dofs, trial.num_dofs))
 
 
+def _element_blocks(kind: str, trial: Space, test: Space) -> dict:
+    """Element matrices of a form as ``{(c, d): ke}``: ``ke[t, i, j]`` pairs
+    test shape i of component c with trial shape j of component d on triangle t."""
+    rule = quadrature(fem.DEFAULT_DEGREE)
+    w = rule.weights
+    _, inv_t, det = affine_maps(trial.mesh)
+    if np.any(det <= 0):
+        bad = int(np.argmax(det <= 0))
+        raise ValueError(f"triangle {bad} has non-positive area")
+
+    if kind == MASS:
+        _require_scalar(kind, trial, test)
+        vals, _ = eval_basis(trial.scalar_kind, rule.points)
+        ref = np.einsum("q,iq,jq->ij", w, vals, vals)
+        return {(0, 0): ref[None, :, :] * det[:, None, None]}
+
+    if kind == P_STIFFNESS:
+        _require_scalar(kind, trial, test)
+        _, grads_ref = eval_basis(trial.scalar_kind, rule.points)
+        g = physical_gradients(inv_t, grads_ref)
+        return {(0, 0): np.einsum("q,tiqa,tjqa,t->tij", w, g, g, det)}
+
+    if kind in (ELASTICITY, DIV_DIV):
+        if trial.kind != P2_VECTOR or test.kind != P2_VECTOR:
+            raise ValueError(f"{kind} requires vector trial and test spaces")
+        _, grads_ref = eval_basis(trial.scalar_kind, rule.points)
+        g = physical_gradients(inv_t, grads_ref)
+        # G[t,i,j,a,b] = sum_q w_q g_i,a g_j,b |det|
+        G = np.einsum("q,tiqa,tjqb,t->tijab", w, g, g, det)
+        if kind == DIV_DIV:
+            return {(c, d): G[..., c, d] for c in range(2) for d in range(2)}
+        # sym(e_c x grad_i) : sym(e_d x grad_j)
+        blocks = {(c, d): 0.5 * G[..., d, c] for c in range(2) for d in range(2)}
+        half_trace = 0.5 * (G[..., 0, 0] + G[..., 1, 1])
+        for c in range(2):
+            blocks[c, c] = blocks[c, c] + half_trace
+        return blocks
+
+    if kind == DIV_COUPLING:
+        if trial.components != 1 or test.kind != P2_VECTOR:
+            raise ValueError("div-coupling pairs a scalar trial with a vector test space")
+        tvals, _ = eval_basis(trial.scalar_kind, rule.points)
+        _, grads_ref = eval_basis(test.scalar_kind, rule.points)
+        g = physical_gradients(inv_t, grads_ref)
+        # ke[t,c,i,j] = integral of (trial_j * d/dx_c test_i)
+        ke = np.einsum("q,jq,tiqc,t->tcij", w, tvals, g, det)
+        return {(c, 0): ke[:, c] for c in range(2)}
+
+    raise ValueError(f"unknown form kind {kind!r}")
+
+
 def _require_scalar(kind, trial, test):
     if trial.components != 1 or test.components != 1:
         raise ValueError(f"{kind} requires scalar trial and test spaces")
     if trial.scalar_kind != test.scalar_kind:
         raise ValueError(f"{kind} requires matching trial/test elements")
-
-
-def _scatter_scalar(ke, trial, test):
-    tdofs, qdofs = test.cell_dofs(), trial.cell_dofs()
-    nb_t, nb_q = tdofs.shape[1], qdofs.shape[1]
-    rows = np.repeat(tdofs, nb_q, axis=1).ravel()
-    cols = np.tile(qdofs, (1, nb_t)).ravel()
-    return rows, cols, ke.reshape(len(ke), -1).ravel()
-
-
-def _scatter_vector_blocks(G, kind, test):
-    sdofs = test.cell_dofs()
-    nsc = test.num_scalar_dofs
-    nel, nb = sdofs.shape
-    trace = G[..., 0, 0] + G[..., 1, 1]
-    rows, cols, data = [], [], []
-    for c in range(2):
-        for d in range(2):
-            if kind == ELASTICITY:
-                # sym(e_c x grad_i) : sym(e_d x grad_j)
-                ke = 0.5 * G[..., d, c]
-                if c == d:
-                    ke = ke + 0.5 * trace
-            else:  # DIV_DIV
-                ke = G[..., c, d]
-            rows.append(np.repeat(sdofs + c * nsc, nb, axis=1).ravel())
-            cols.append(np.tile(sdofs + d * nsc, (1, nb)).ravel())
-            data.append(ke.reshape(nel, -1).ravel())
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
 
 
 def assemble_functional(kind: str, test: Space, data, tags=NEUMANN_TAGS) -> np.ndarray:
@@ -219,16 +197,7 @@ def _volume_load(test: Space, data) -> np.ndarray:
     rule = quadrature(fem.DEFAULT_DEGREE)
     vals, _ = eval_basis(test.scalar_kind, rule.points)
     _, _, det = affine_maps(mesh)
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    p1 = mesh.vertices[mesh.triangles[:, 1]]
-    p2 = mesh.vertices[mesh.triangles[:, 2]]
-    # physical quadrature points, (nt, nq)
-    xq = np.multiply.outer(p0[:, 0], 1 - rule.points[:, 0] - rule.points[:, 1]) \
-        + np.multiply.outer(p1[:, 0], rule.points[:, 0]) \
-        + np.multiply.outer(p2[:, 0], rule.points[:, 1])
-    yq = np.multiply.outer(p0[:, 1], 1 - rule.points[:, 0] - rule.points[:, 1]) \
-        + np.multiply.outer(p1[:, 1], rule.points[:, 0]) \
-        + np.multiply.outer(p2[:, 1], rule.points[:, 1])
+    xq, yq = physical_points(mesh, rule.points)
 
     out = np.zeros(test.num_dofs)
     sdofs = test.cell_dofs()
@@ -251,7 +220,8 @@ def _boundary_load(test: Space, data, tags) -> np.ndarray:
 
     out = np.zeros(test.num_dofs)
     nsc = test.num_scalar_dofs
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+    mids = mesh.num_vertices + mesh.boundary_edge_ids
+    for (a, b), tag, mid in zip(mesh.boundary_edges, mesh.boundary_tags, mids):
         if tag not in tags:
             continue
         a, b = int(a), int(b)
@@ -263,7 +233,7 @@ def _boundary_load(test: Space, data, tags) -> np.ndarray:
         if test.scalar_kind == P1:
             dofs = np.array([a, b])
         else:
-            dofs = np.array([a, b, mesh.num_vertices + mesh.edge_index(a, b)])
+            dofs = np.array([a, b, mid])
         f = data(x, y, normal)
         if test.components == 1:
             fe = np.einsum("s,ks,s->k", w, trace, np.broadcast_to(f, x.shape)) * length

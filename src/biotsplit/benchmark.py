@@ -23,8 +23,10 @@ import numpy as np
 
 from . import fem
 from .assembly import PhysParams
-from .biot import STEPPERS, BiotState, DiscreteSystem, LoadSet, advance, build_system
-from .fem import P1, affine_maps, eval_basis, interpolate, quadrature
+from .biot import (STEPPERS, BiotState, DiscreteSystem, LoadSet, advance, build_system,
+                   check_iteration_settings)
+from .fem import (affine_maps, eval_basis, interpolate, physical_gradients,
+                  physical_points, quadrature)
 from .mesh import CELL_SPLIT
 from .mesh import TriMesh, build_uniform, refine
 
@@ -247,45 +249,26 @@ def compute_errors(state: BiotState, case: ManufacturedCase) -> ErrorSet:
     rule = quadrature(fem.DEFAULT_DEGREE)
     w = rule.weights
     _, inv_t, det = affine_maps(mesh)
+    xq, yq = physical_points(mesh, rule.points)
 
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    p1v = mesh.vertices[mesh.triangles[:, 1]]
-    p2v = mesh.vertices[mesh.triangles[:, 2]]
-    l1, l2 = rule.points[:, 0], rule.points[:, 1]
-    l0 = 1.0 - l1 - l2
-    xq = np.outer(p0[:, 0], l0) + np.outer(p1v[:, 0], l1) + np.outer(p2v[:, 0], l2)
-    yq = np.outer(p0[:, 1], l0) + np.outer(p1v[:, 1], l1) + np.outer(p2v[:, 1], l2)
-
-    def scalar_errors(field, exact, grad_exact):
-        vals, grads_ref = eval_basis(field.space.scalar_kind, rule.points)
-        C = field.values[field.space.cell_dofs()]
-        fh = np.einsum("ti,iq->tq", C, vals)
-        g = np.einsum("tab,iqb->tiqa", inv_t, grads_ref)
-        gh = np.einsum("ti,tiqa->tqa", C, g)
-        diff = fh - exact(xq, yq, t)
-        gdiff = gh - np.moveaxis(grad_exact(xq, yq, t), 0, -1)
-        l2sq = float(np.einsum("q,tq,t->", w, diff ** 2, det))
-        h1sq = l2sq + float(np.einsum("q,tqa,t->", w, gdiff ** 2, det))
-        return np.sqrt(l2sq), np.sqrt(h1sq)
-
-    def vector_errors(field):
+    def errors(field, exact, grad_exact):
+        # exact[c] (nt, nq) and grad_exact[c] (2, nt, nq) belong to component c
         vals, grads_ref = eval_basis(field.space.scalar_kind, rule.points)
         sdofs = field.space.cell_dofs()
-        g = np.einsum("tab,iqb->tiqa", inv_t, grads_ref)
-        ue = case.u_exact(xq, yq, t)
-        gue = case.grad_u_exact(xq, yq, t)
-        l2sq = h1sq = 0.0
-        for c in range(2):
+        g = physical_gradients(inv_t, grads_ref)
+        l2sq = gradsq = 0.0
+        for c in range(field.space.components):
             C = field.component(c)[sdofs]
-            diff = np.einsum("ti,iq->tq", C, vals) - ue[c]
-            gdiff = np.einsum("ti,tiqa->tqa", C, g) - np.moveaxis(gue[c], 0, -1)
+            diff = np.einsum("ti,iq->tq", C, vals) - exact[c]
+            gdiff = np.einsum("ti,tiqa->tqa", C, g) - np.moveaxis(grad_exact[c], 0, -1)
             l2sq += float(np.einsum("q,tq,t->", w, diff ** 2, det))
-            h1sq += float(np.einsum("q,tqa,t->", w, gdiff ** 2, det))
-        return np.sqrt(l2sq), np.sqrt(l2sq + h1sq)
+            gradsq += float(np.einsum("q,tqa,t->", w, gdiff ** 2, det))
+        return np.sqrt(l2sq), np.sqrt(l2sq + gradsq)
 
-    l2u, h1u = vector_errors(state.u)
-    l2xi, h1xi = scalar_errors(state.xi, case.xi_exact, case.grad_xi_exact)
-    l2p, h1p = scalar_errors(state.p, case.p_exact, case.grad_p_exact)
+    l2u, h1u = errors(state.u, case.u_exact(xq, yq, t), case.grad_u_exact(xq, yq, t))
+    l2xi, h1xi = errors(state.xi, [case.xi_exact(xq, yq, t)],
+                        [case.grad_xi_exact(xq, yq, t)])
+    l2p, h1p = errors(state.p, [case.p_exact(xq, yq, t)], [case.grad_p_exact(xq, yq, t)])
     return ErrorSet(l2u, h1u, l2xi, h1xi, l2p, h1p)
 
 
@@ -331,14 +314,15 @@ def run_study(algorithm: str, case: ManufacturedCase, levels: int, n0: int = 16,
 
     ``levels`` counts mesh levels (>= 2 for rates); the initial mesh has
     ``n0`` cells per side and each level halves h.  ``iters``/``tol`` apply
-    to the iterative algorithm only.
+    to the iterative algorithm only.  Invalid settings raise ``ValueError``
+    before any level is built; a failing level raises ``RuntimeError``.
     """
     if levels < 2:
         raise ValueError(f"need at least 2 levels for rates, got {levels}")
     if algorithm not in STEPPERS:
         raise ValueError(f"unknown algorithm {algorithm!r} (have {tuple(STEPPERS)})")
-    if algorithm == "iterative" and iters is None and tol is None:
-        raise ValueError("iterative algorithm needs iters or tol")
+    if algorithm == "iterative":
+        check_iteration_settings(iters, tol)
     params = case.params
     num_steps = round(params.T / params.dt)
     if abs(num_steps * params.dt - params.T) > 1e-12 * max(params.T, 1.0):

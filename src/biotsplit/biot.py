@@ -20,6 +20,7 @@ loads and boundary data are separable profiles scaled by a time factor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Optional
@@ -272,6 +273,16 @@ def step_te_decoupled(sys: DiscreteSystem, state: BiotState) -> BiotState:
     return sys.state(u_new, xi_new, p_new, t)
 
 
+def check_iteration_settings(iters: int | None, tol: float | None) -> None:
+    """Require exactly one of a count ``iters >= 1`` or a tolerance ``0 < tol < inf``."""
+    if (iters is None) == (tol is None):
+        raise ValueError("give exactly one of iters or tol")
+    if iters is not None and iters < 1:
+        raise ValueError(f"iteration count must be >= 1, got {iters}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
 def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = None,
                    tol: float | None = None, max_iters: int = 500,
                    start: BiotState | None = None):
@@ -285,13 +296,7 @@ def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = No
     Returns (state_n, increments) where increments[i] is the L2 norm of
     xi^{n,i+1} - xi^{n,i}.
     """
-    if (iters is None) == (tol is None):
-        raise ValueError("give exactly one of iters or tol")
-    if iters is not None and iters < 1:
-        raise ValueError(f"iteration count must be >= 1, got {iters}")
-    if tol is not None and tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-
+    check_iteration_settings(iters, tol)
     xi_i = (start or state).xi.values
     increments: list[float] = []
     budget = iters if iters is not None else max_iters

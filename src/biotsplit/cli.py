@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import export_matrix
+from .assembly import constrain_matrix, export_matrix
 from .benchmark import (PRESETS, benchmark_loads, homogeneous_loads, initial_state,
                         make_case, run_study, study_csv, study_report, write_csv,
                         write_json)
@@ -243,7 +243,10 @@ def run(config: RunConfig) -> int:
     try:
         study = run_study(config.algorithm, case, config.levels, n0=config.n0,
                           iters=iters, tol=config.tol)
-    except (RuntimeError, ValueError) as exc:
+    except ValueError as exc:  # the settings, rejected before any level runs
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # a level failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -277,8 +280,8 @@ def run(config: RunConfig) -> int:
     if config.dump_matrix:
         system = build_system(build_uniform(config.n0), case.params,
                               benchmark_loads(case))
-        _write_artifact(lambda m, path: export_matrix(m, path),
-                        system.solver("coupled").matrix, config.dump_matrix)
+        _write_artifact(export_matrix, constrain_matrix(*system._block("coupled")),
+                        config.dump_matrix)
 
     return 0 if not failures else 1
 

@@ -181,14 +181,11 @@ class Space:
     def boundary_scalar_dofs(self, tags) -> np.ndarray:
         """Sorted scalar dofs whose nodes lie on boundary edges with the given tags."""
         mesh = self.mesh
-        dofs = set()
-        for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            if tag in tags:
-                dofs.add(int(a))
-                dofs.add(int(b))
-                if self.scalar_kind == P2:
-                    dofs.add(mesh.num_vertices + mesh.edge_index(int(a), int(b)))
-        return np.array(sorted(dofs), dtype=np.int64)
+        on = np.isin(mesh.boundary_tags, tags)
+        dofs = [mesh.boundary_edges[on].ravel()]
+        if self.scalar_kind == P2:
+            dofs.append(mesh.num_vertices + mesh.boundary_edge_ids[on])
+        return np.unique(np.concatenate(dofs))
 
     def dirichlet_dofs(self) -> np.ndarray:
         """Constrained dof indices (all components) for this space's Dirichlet sides."""
@@ -222,6 +219,23 @@ def affine_maps(mesh: TriMesh):
     inv /= det[:, None, None]
     inv_t = np.transpose(inv, (0, 2, 1))
     return jac, inv_t, det
+
+
+def physical_points(mesh: TriMesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images of reference points on every triangle: ``(x, y)``, each (nt, nq)."""
+    p0 = mesh.vertices[mesh.triangles[:, 0]]
+    p1 = mesh.vertices[mesh.triangles[:, 1]]
+    p2 = mesh.vertices[mesh.triangles[:, 2]]
+    l1, l2 = points[:, 0], points[:, 1]
+    l0 = 1.0 - l1 - l2
+    return tuple(np.outer(p0[:, k], l0) + np.outer(p1[:, k], l1) + np.outer(p2[:, k], l2)
+                 for k in range(2))
+
+
+def physical_gradients(inv_t: np.ndarray, grads_ref: np.ndarray) -> np.ndarray:
+    """(nt, nb, nq, 2) gradient of shape function i at point q on triangle t,
+    from reference gradients (nb, nq, 2) and the inverse-transpose Jacobians."""
+    return np.einsum("tab,iqb->tiqa", inv_t, grads_ref)
 
 
 def interpolate(space: Space, f: Callable) -> "FieldVector":

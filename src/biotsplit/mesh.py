@@ -96,14 +96,13 @@ class TriMesh:
         self._edges = edges
         self._tri_edges = inverse.reshape(3, -1).T.copy()
 
-    def edge_index(self, a: int, b: int) -> int:
-        """Global index of the edge with endpoints a, b."""
-        key = (min(a, b), max(a, b))
-        lookup = getattr(self, "_edge_lookup", None)
-        if lookup is None:
-            lookup = {(int(p), int(q)): i for i, (p, q) in enumerate(self.edges)}
-            self._edge_lookup = lookup
-        return lookup[key]
+    @property
+    def boundary_edge_ids(self) -> np.ndarray:
+        """(nb,) global edge index of each boundary edge."""
+        nv = self.num_vertices
+        keys = self.edges[:, 0] * nv + self.edges[:, 1]  # ascending: edges are sorted
+        lo, hi = np.sort(self.boundary_edges, axis=1).T
+        return np.searchsorted(keys, lo * nv + hi)
 
     @property
     def h(self) -> float:
@@ -189,38 +188,16 @@ def refine(mesh: TriMesh) -> TriMesh:
         ]
     )
 
-    bedges, btags = [], []
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        mid = nv + mesh.edge_index(int(a), int(b))
-        bedges.append((a, mid))
-        bedges.append((mid, b))
-        btags.extend((tag, tag))
+    # each boundary edge (a, b) becomes (a, mid), (mid, b), in parent order
+    a, b = mesh.boundary_edges.T
+    mid = nv + mesh.boundary_edge_ids
+    bedges = np.column_stack([a, mid, mid, b]).reshape(-1, 2)
 
     return TriMesh(
         vertices=vertices,
         triangles=children,
-        boundary_edges=np.array(bedges, dtype=np.int64),
-        boundary_tags=np.array(btags, dtype=np.int64),
+        boundary_edges=bedges,
+        boundary_tags=np.repeat(mesh.boundary_tags, 2),
         level=mesh.level + 1,
     )
 
-
-def dump_mesh(mesh: TriMesh, stream) -> None:
-    """Write a plain-text dump: vertex coordinates, triangles, tagged boundary edges.
-
-    ``stream`` is a writable file object or a path.  Format: a header line per
-    section, then one entity per line -- ``v x y``, ``t i j k``, ``b i j tag``.
-    """
-    if not hasattr(stream, "write"):
-        with open(stream, "w") as f:
-            dump_mesh(mesh, f)
-        return
-    stream.write(f"# unit-square triangle mesh, level {mesh.level}\n")
-    stream.write(f"# {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
-                 f"{len(mesh.boundary_edges)} boundary edges\n")
-    for x, y in mesh.vertices:
-        stream.write(f"v {x!r} {y!r}\n")
-    for i, j, k in mesh.triangles:
-        stream.write(f"t {i} {j} {k}\n")
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        stream.write(f"b {i} {j} {tag}\n")

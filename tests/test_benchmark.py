@@ -25,6 +25,28 @@ from biotsplit.biot import BiotState
 from biotsplit.fem import Space, interpolate
 from biotsplit.mesh import build_uniform
 
+# Rows of study_csv(run_study(..., levels=3, n0=4)) on nu03, frozen: a change
+# to the arithmetic of assembly, solves or error norms shows up here as
+# changed digits, which run-to-run determinism alone cannot catch.
+PINNED_CSV = {
+    "coupled": (
+        "1,4,5.871e-02,,1.421e+00,,7.360e-02,,1.785e+00,,6.723e-02,,8.867e-01,\n"
+        "2,8,7.365e-03,2.99,3.911e-01,1.86,1.494e-02,2.30,8.145e-01,1.13,1.758e-02,1.94,4.346e-01,1.03\n"
+        "3,16,1.038e-03,2.83,1.006e-01,1.96,3.508e-03,2.09,3.988e-01,1.03,4.459e-03,1.98,2.162e-01,1.01\n"),
+    "te": (
+        "1,4,5.867e-02,,1.421e+00,,7.384e-02,,1.788e+00,,6.752e-02,,8.905e-01,\n"
+        "2,8,7.332e-03,3.00,3.911e-01,1.86,1.486e-02,2.31,8.150e-01,1.13,1.755e-02,1.94,4.352e-01,1.03\n"
+        "3,16,9.896e-04,2.89,1.006e-01,1.96,3.368e-03,2.14,3.989e-01,1.03,4.355e-03,2.01,2.163e-01,1.01\n"),
+    "iterative-iters3": (
+        "1,4,5.874e-02,,1.421e+00,,7.294e-02,,1.783e+00,,6.495e-02,,8.771e-01,\n"
+        "2,8,7.360e-03,3.00,3.911e-01,1.86,1.481e-02,2.30,8.143e-01,1.13,1.724e-02,1.91,4.340e-01,1.01\n"
+        "3,16,1.052e-03,2.81,1.007e-01,1.96,3.598e-03,2.04,3.989e-01,1.03,4.713e-03,1.87,2.166e-01,1.00\n"),
+    "iterative-tol1e-10": (
+        "1,4,5.871e-02,,1.421e+00,,7.360e-02,,1.785e+00,,6.723e-02,,8.867e-01,\n"
+        "2,8,7.365e-03,2.99,3.911e-01,1.86,1.494e-02,2.30,8.145e-01,1.13,1.758e-02,1.94,4.346e-01,1.03\n"
+        "3,16,1.038e-03,2.83,1.006e-01,1.96,3.508e-03,2.09,3.988e-01,1.03,4.459e-03,1.98,2.162e-01,1.01\n"),
+}
+
 
 def test_presets_resolve_to_expected_params():
     case = make_case("nu03")
@@ -94,6 +116,12 @@ def test_run_study_validation(nu03_case):
         run_study("iterative", nu03_case, levels=2)  # missing iters/tol
     with pytest.raises(ValueError):
         run_study("coupled", make_case("nu03", dt=3e-3), levels=2)  # T/dt not integral
+    # iteration settings are rejected before any level runs (a level's
+    # failure would arrive as RuntimeError)
+    for settings in ({"iters": 0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+                     {"iters": 3, "tol": 1e-8}):
+        with pytest.raises(ValueError):
+            run_study("iterative", nu03_case, levels=2, n0=2, **settings)
 
 
 def test_run_study_names_failing_level(nu03_case):
@@ -139,6 +167,14 @@ def test_csv_layout(tiny_study):
     second = lines[2].split(",")
     assert all(cell != "" for cell in second)
     float(second[2])  # errors parse as numbers
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV))
+def test_csv_matches_pinned_report(name):
+    algorithm, _, setting = name.partition("-")
+    kwargs = {"": {}, "iters3": {"iters": 3}, "tol1e-10": {"tol": 1e-10}}[setting]
+    study = run_study(algorithm, make_case("nu03"), levels=3, n0=4, **kwargs)
+    assert study_csv(study) == CSV_HEADER + "\n" + PINNED_CSV[name]
 
 
 def test_csv_bytes_deterministic_across_runs():

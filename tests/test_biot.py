@@ -1,4 +1,6 @@
 """Time-stepper cross-validation and the analysis-backed diagnostics."""
+import math
+
 import numpy as np
 import pytest
 
@@ -71,8 +73,9 @@ def test_step_iterative_argument_validation(small_system, small_initial):
         step_iterative(small_system, small_initial, iters=3, tol=1e-8)
     with pytest.raises(ValueError):
         step_iterative(small_system, small_initial, iters=0)
-    with pytest.raises(ValueError):
-        step_iterative(small_system, small_initial, tol=-1.0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            step_iterative(small_system, small_initial, tol=tol)
 
 
 def test_unreachable_tolerance_raises(small_system, small_initial):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.io
 
+from biotsplit import biot
 from biotsplit.cli import (CHECK_NAMES, RATE_FLOORS, ConfigError, _check_rates, main,
                            parse_config)
 
@@ -82,6 +83,8 @@ def test_invalid_physical_parameter_exits_2(capsys):
     for flag in (["--dt", "nan"], ["--E", "nan"], ["--K", "inf"]):
         assert main(TINY + flag) == 2
         assert "must be finite" in capsys.readouterr().err
+    assert main(TINY + ["--T", "0.0105", "--dt", "0.003"]) == 2
+    assert "multiple" in capsys.readouterr().err
 
 
 def test_nan_rate_fails_rate_check():
@@ -97,6 +100,10 @@ def test_nan_rate_fails_rate_check():
 def test_iterative_needs_iter_or_tol(capsys):
     assert main(TINY + ["--algorithm", "iterative"]) == 2
     assert "--iter or --tol" in capsys.readouterr().err
+    for flags in (["--iter", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+                  ["--iter", "3", "--tol", "1e-8"]):
+        assert main(TINY + ["--algorithm", "iterative", *flags]) == 2, flags
+        assert "error:" in capsys.readouterr().err
 
 
 def test_tiny_run_writes_csv_and_json(tmp_path, capsys):
@@ -159,3 +166,16 @@ def test_dump_matrix_is_symmetric_matrix_market(tmp_path, capsys):
     expected = 2 * (nv + ne) + nv + nv
     assert A.shape == (expected, expected)
     assert abs(A - A.T).max() < 1e-12
+
+
+def test_dump_matrix_needs_no_extra_factorization(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = biot.lu_factor
+
+    def counted(A):
+        calls.append(A.shape)
+        return original(A)
+    monkeypatch.setattr(biot, "lu_factor", counted)
+    assert main(TINY + ["--dump-matrix", str(tmp_path / "coupled.mtx")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2  # one coupled LU per study level

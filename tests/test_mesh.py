@@ -10,7 +10,6 @@ from biotsplit.mesh import (
     TOP,
     TriMesh,
     build_uniform,
-    dump_mesh,
     refine,
 )
 
@@ -48,22 +47,28 @@ def test_positive_areas_sum_to_domain():
 
 
 def test_boundary_tags_match_geometry():
-    mesh = build_uniform(3)
-    for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        pts = mesh.vertices[edge]
-        if tag == RIGHT:
-            np.testing.assert_allclose(pts[:, 0], 1.0)
-        elif tag == BOTTOM:
-            np.testing.assert_allclose(pts[:, 1], 0.0)
-        elif tag == LEFT:
-            np.testing.assert_allclose(pts[:, 0], 0.0)
-        elif tag == TOP:
-            np.testing.assert_allclose(pts[:, 1], 1.0)
-        else:
-            pytest.fail(f"unknown tag {tag}")
-    # each side is covered by exactly n edges
-    counts = np.bincount(mesh.boundary_tags, minlength=5)
-    assert counts[1:].tolist() == [3, 3, 3, 3]
+    for mesh, n in ((build_uniform(3), 3), (refine(build_uniform(3)), 6)):
+        for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+            pts = mesh.vertices[edge]
+            if tag == RIGHT:
+                np.testing.assert_allclose(pts[:, 0], 1.0)
+            elif tag == BOTTOM:
+                np.testing.assert_allclose(pts[:, 1], 0.0)
+            elif tag == LEFT:
+                np.testing.assert_allclose(pts[:, 0], 0.0)
+            elif tag == TOP:
+                np.testing.assert_allclose(pts[:, 1], 1.0)
+            else:
+                pytest.fail(f"unknown tag {tag}")
+        # each side is covered by exactly n edges
+        counts = np.bincount(mesh.boundary_tags, minlength=5)
+        assert counts[1:].tolist() == [n, n, n, n]
+
+
+def test_boundary_edge_ids_index_the_sorted_edges():
+    for mesh in (build_uniform(3), refine(refine(build_uniform(2)))):
+        np.testing.assert_array_equal(mesh.edges[mesh.boundary_edge_ids],
+                                      np.sort(mesh.boundary_edges, axis=1))
 
 
 def test_edge_sharing():
@@ -112,14 +117,3 @@ def test_refined_areas_positive():
 def test_build_uniform_rejects_bad_n():
     with pytest.raises(ValueError):
         build_uniform(0)
-
-
-def test_dump_mesh_roundtrips_counts(tmp_path):
-    mesh = build_uniform(2)
-    path = tmp_path / "mesh.txt"
-    dump_mesh(mesh, path)
-    lines = path.read_text().strip().splitlines()
-    kinds = [line.split()[0] for line in lines]
-    assert kinds.count("v") == mesh.num_vertices
-    assert kinds.count("t") == mesh.num_triangles
-    assert kinds.count("b") == len(mesh.boundary_edges)
