@@ -314,8 +314,9 @@ def run_study(algorithm: str, case: ManufacturedCase, levels: int, n0: int = 16,
 
     ``levels`` counts mesh levels (>= 2 for rates); the initial mesh has
     ``n0`` cells per side and each level halves h.  ``iters``/``tol`` apply
-    to the iterative algorithm only.  Invalid settings raise ``ValueError``
-    before any level is built; a failing level raises ``RuntimeError``.
+    to the iterative algorithm only, and giving either to another algorithm
+    is an error.  Invalid settings raise ``ValueError`` before any level is
+    built; a failing level raises ``RuntimeError``.
     """
     if levels < 2:
         raise ValueError(f"need at least 2 levels for rates, got {levels}")
@@ -323,6 +324,9 @@ def run_study(algorithm: str, case: ManufacturedCase, levels: int, n0: int = 16,
         raise ValueError(f"unknown algorithm {algorithm!r} (have {tuple(STEPPERS)})")
     if algorithm == "iterative":
         check_iteration_settings(iters, tol)
+    elif iters is not None or tol is not None:
+        raise ValueError(f"iters and tol apply to the iterative algorithm only, "
+                         f"not to {algorithm!r}")
     params = case.params
     num_steps = round(params.T / params.dt)
     if abs(num_steps * params.dt - params.T) > 1e-12 * max(params.T, 1.0):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class SingularMatrixError(RuntimeError):
@@ -27,11 +28,12 @@ class ConvergenceError(RuntimeError):
 
 
 class Factorization:
-    """Reusable sparse LU factorization with a residual log."""
+    """Reusable sparse LU factorization of ``A[perm][:, perm]`` with a residual log."""
 
-    def __init__(self, matrix: sparse.csr_matrix, lu):
+    def __init__(self, matrix: sparse.csr_matrix, lu, perm: np.ndarray):
         self._matrix = matrix
         self._lu = lu
+        self._perm = perm
         self.num_solves = 0
         self.max_rel_residual = 0.0
 
@@ -42,7 +44,8 @@ class Factorization:
     def solve(self, b: np.ndarray, return_residual: bool = False):
         """Solve Ax = b; records the relative residual of this solve."""
         b = np.asarray(b, dtype=float)
-        x = self._lu.solve(b)
+        x = np.empty_like(b)
+        x[self._perm] = self._lu.solve(b[self._perm])
         r = self._matrix @ x - b
         bnorm = float(np.linalg.norm(b))
         rel = float(np.linalg.norm(r)) / bnorm if bnorm > 0 else float(np.linalg.norm(r))
@@ -53,7 +56,19 @@ class Factorization:
 
 
 def lu_factor(A: sparse.spmatrix) -> Factorization:
-    """Factor a square sparse matrix with SuperLU (COLAMD ordering, deterministic).
+    """Factor a square sparse matrix with SuperLU in a symmetric fill-reducing order.
+
+    The unknowns are first numbered by reverse Cuthill-McKee on the pattern of
+    A + A^T; SuperLU then factors the renumbered matrix in the minimum-degree
+    order of A + A^T (``MMD_AT_PLUS_A``), applied to rows and columns alike.
+    A diagonal entry is taken as the pivot unless it is smaller than 1e-3
+    times the largest entry of its column, in which case SuperLU pivots off
+    the diagonal, so the factorization stays a general LU.  Every system this
+    library builds is symmetric quasi-definite or SPD and factors with
+    (nearly) all pivots on the diagonal, which keeps the fill of the
+    symmetric order.  Both steps are deterministic.  MMD on the mesh
+    numbering alone needs several GB at 1/h = 128; after the RCM numbering
+    it does not.
 
     Raises
     ------
@@ -73,11 +88,13 @@ def lu_factor(A: sparse.spmatrix) -> Factorization:
     if np.any(col_counts == 0):
         col = int(np.argmin(col_counts))
         raise SingularMatrixError(f"matrix is structurally singular: column {col} is empty")
+    perm = reverse_cuthill_mckee(abs(A) + abs(A.T), symmetric_mode=True)
     try:
-        lu = spla.splu(A.tocsc(), permc_spec="COLAMD")
+        lu = spla.splu(A[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # SuperLU reports numeric singularity this way
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-    return Factorization(A, lu)
+    return Factorization(A, lu, perm)
 
 
 def cg_solve(A: sparse.spmatrix, b: np.ndarray, tol: float = 1e-10,

@@ -23,6 +23,7 @@ from biotsplit.benchmark import (
 )
 from biotsplit.biot import BiotState
 from biotsplit.fem import Space, interpolate
+from biotsplit.linalg import SingularMatrixError
 from biotsplit.mesh import build_uniform
 
 # Rows of study_csv(run_study(..., levels=3, n0=4)) on nu03, frozen: a change
@@ -122,12 +123,20 @@ def test_run_study_validation(nu03_case):
                      {"iters": 3, "tol": 1e-8}):
         with pytest.raises(ValueError):
             run_study("iterative", nu03_case, levels=2, n0=2, **settings)
+    # and given to an algorithm that does not iterate, they are rejected too
+    for algorithm in ("coupled", "te"):
+        for settings in ({"iters": 3}, {"tol": 1e-8}, {"iters": 0, "tol": math.nan}):
+            with pytest.raises(ValueError, match="iterative algorithm only"):
+                run_study(algorithm, nu03_case, levels=2, n0=2, **settings)
 
 
-def test_run_study_names_failing_level(nu03_case):
-    with pytest.raises(RuntimeError, match=r"level 1 \(1/h=4\)"):
-        run_study("iterative", make_case("nu03", T=1e-3), levels=2, n0=4,
-                  tol=1e-300)
+def test_run_study_names_failing_level(nu03_case, monkeypatch):
+    def failing_factor(A):
+        raise SingularMatrixError("forced")
+
+    monkeypatch.setattr(biot, "lu_factor", failing_factor)
+    with pytest.raises(RuntimeError, match=r"level 1 \(1/h=4\) failed: forced"):
+        run_study("iterative", make_case("nu03", T=1e-3), levels=2, n0=4, iters=2)
 
 
 @pytest.fixture(scope="module")

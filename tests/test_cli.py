@@ -104,6 +104,9 @@ def test_iterative_needs_iter_or_tol(capsys):
                   ["--iter", "3", "--tol", "1e-8"]):
         assert main(TINY + ["--algorithm", "iterative", *flags]) == 2, flags
         assert "error:" in capsys.readouterr().err
+    for algorithm in ("coupled", "te"):  # settings of an algorithm that does not iterate
+        assert main(TINY + ["--algorithm", algorithm, "--tol", "nan", "--iter", "0"]) == 2
+        assert "iterative algorithm only" in capsys.readouterr().err
 
 
 def test_tiny_run_writes_csv_and_json(tmp_path, capsys):

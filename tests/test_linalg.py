@@ -2,8 +2,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from biotsplit.assembly import MASS, P_STIFFNESS, assemble_form, constrain_matrix
+from biotsplit.benchmark import benchmark_loads, make_case
+from biotsplit.biot import build_system
 from biotsplit.fem import Space
 from biotsplit.linalg import (
     ConvergenceError,
@@ -81,6 +84,56 @@ def test_nan_residual_sticks_in_the_log(rng):
     fact.solve(rng.standard_normal(6))  # a later finite residual must not mask it
     assert np.isnan(fact.max_rel_residual)
     assert fact.num_solves == 3
+
+
+def permuted_nonsymmetric(rng):
+    # rows of a nonsymmetric, diagonally dominant matrix in random order: most
+    # diagonal entries are structurally zero, so pivots must leave the diagonal
+    n = 60
+    D = sparse.random(n, n, density=0.1, random_state=rng) + 10.0 * sparse.eye(n)
+    return sparse.csr_matrix(sparse.eye(n, format="csr")[rng.permutation(n)] @ D)
+
+
+def coupled_swap_blocks(rng):
+    # [[0, 1], [1, 0]] blocks on the diagonal, weakly coupled to their neighbours
+    k = 30
+    swap = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    chain = sparse.diags([np.ones(k - 1), np.ones(k - 1)], [-1, 1])
+    return sparse.csr_matrix(sparse.kron(sparse.eye(k), swap)
+                             + 0.1 * sparse.kron(chain, sparse.eye(2)))
+
+
+@pytest.mark.parametrize("make", [permuted_nonsymmetric, coupled_swap_blocks])
+def test_lu_solves_matrices_with_zero_diagonal(make, rng):
+    A = make(rng)
+    assert np.count_nonzero(A.diagonal()) < A.shape[0] // 2
+    b = rng.standard_normal(A.shape[0])
+    fact = lu_factor(A)
+    fact.solve(b)
+    assert fact.max_rel_residual < 1e-12
+
+
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.fixture(scope="module", params=["nu03", "nu0499"])
+def systems_32(request):
+    case = make_case(request.param)
+    return build_system(build_uniform(32), case.params, benchmark_loads(case))
+
+
+@pytest.mark.parametrize("name, bound", [("stokes", 0.6), ("coupled", 0.75)])
+def test_lu_fill_is_below_colamd(systems_32, name, bound):
+    # the symmetric order keeps its fill only with diagonal pivots; a pivot
+    # threshold of 1e-2 already leaves the diagonal on nu0499 and loses it
+    A = constrain_matrix(*systems_32._block(name))
+    fact = lu_factor(A)
+    colamd = spla.splu(A.tocsc(), permc_spec="COLAMD")
+    assert _fill(fact._lu) <= bound * _fill(colamd)
+    b = np.ones(A.shape[0])
+    fact.solve(b)
+    assert fact.max_rel_residual < 1e-11
 
 
 def test_factorization_reuse_is_bit_identical(rng):
