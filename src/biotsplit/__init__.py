@@ -18,7 +18,7 @@ studies; ``cli`` exposes the ``biotsplit`` command-line entry point.
 from .mesh import TriMesh, build_uniform, refine
 from .fem import Space, FieldVector, interpolate, quadrature
 from .assembly import PhysParams, assemble_form, assemble_functional, export_matrix
-from .linalg import ConvergenceError, SingularMatrixError, cg_solve, lu_factor
+from .linalg import SingularMatrixError, lu_factor
 from .biot import (
     BiotState,
     ContractionReport,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiotState",
     "ContractionReport",
-    "ConvergenceError",
     "ConvergenceFailure",
     "DiscreteSystem",
     "EnergyReport",
@@ -73,7 +72,6 @@ __all__ = [
     "benchmark_loads",
     "build_system",
     "build_uniform",
-    "cg_solve",
     "compute_errors",
     "contraction_monitor",
     "energy_check",

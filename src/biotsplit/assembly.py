@@ -1,9 +1,11 @@
 """Assembly of the bilinear forms and load functionals of the poroelastic system.
 
 Every volume term uses the same degree-5 triangle rule; boundary terms use a
-5-point Gauss rule per edge.  Matrices are returned as ``scipy.sparse`` CSR
-with sorted column indices; duplicate (row, col) element contributions are
-summed in element order.
+5-point Gauss rule per edge.  Element matrices are reference tensors contracted
+with each triangle's affine geometry (Kirby & Logg, ACM TOMS 32, 2006).  The
+scalar (test, trial) pattern is sorted once per form; matrices are returned as
+canonical ``scipy.sparse`` CSR, duplicate element contributions summed in
+element order.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import scipy.sparse as sparse
 
 from . import fem
 from .fem import (P1, P2_VECTOR, Space, affine_maps, edge_quadrature, eval_basis,
-                  physical_gradients, physical_points, quadrature)
+                  physical_points, quadrature)
 from .mesh import NEUMANN_TAGS, SIDE_NORMALS, TriMesh
 
 ELASTICITY = "elasticity"      # (eps(u), eps(v)) on the vector space
@@ -86,31 +88,27 @@ def assemble_form(kind: str, trial: Space, test: Space) -> sparse.csr_matrix:
     """
     if trial.mesh is not test.mesh:
         raise ValueError("trial and test spaces must share a mesh")
-    blocks = _element_blocks(kind, trial, test)
     tdofs, qdofs = test.cell_dofs(), trial.cell_dofs()
-    nb_t, nb_q = tdofs.shape[1], qdofs.shape[1]
-    rows = np.concatenate([np.repeat(tdofs + c * test.num_scalar_dofs, nb_q, axis=1).ravel()
-                           for c, _ in blocks])
-    cols = np.concatenate([np.tile(qdofs + d * trial.num_scalar_dofs, (1, nb_t)).ravel()
-                           for _, d in blocks])
-    data = np.concatenate([ke.reshape(len(ke), -1).ravel() for ke in blocks.values()])
-    del blocks  # released before the sort, which is the memory peak of assembly
+    nsq = trial.num_scalar_dofs
+    key = (tdofs[:, :, None].astype(np.int64) * nsq + qdofs[:, None, :]).ravel()
 
     # Sum duplicate (row, col) entries ourselves with a stable sort, so they
     # add in element order: the rounded matrix is then fixed by the mesh
     # numbering alone, not by the order in which scipy's duplicate summation
-    # happens to visit them (which it does not document).  Each (row, col)
-    # pair comes from exactly one block, so the block order does not matter.
-    order = np.lexsort((cols, rows))
-    rows, cols, data = rows[order], cols[order], data[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(first)
-    indptr = np.zeros(test.num_dofs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[starts], minlength=test.num_dofs), out=indptr[1:])
-    return sparse.csr_matrix(
-        (np.add.reduceat(data, starts), cols[starts], indptr),
-        shape=(test.num_dofs, trial.num_dofs))
+    # happens to visit them (which it does not document).  Every component
+    # block shares the scalar pattern, so one sort serves them all.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    pattern = key[starts]
+    indptr = np.searchsorted(pattern, np.arange(test.num_scalar_dofs + 1) * nsq)
+    grid = [[None] * trial.components for _ in range(test.components)]
+    # built after the sort, so the element blocks never share memory with it
+    for (c, d), ke in _element_blocks(kind, trial, test).items():
+        data = np.add.reduceat(ke.reshape(-1)[order], starts)
+        grid[c][d] = sparse.csr_matrix((data, pattern % nsq, indptr),
+                                       shape=(test.num_scalar_dofs, nsq))
+    return sparse.bmat(grid, format="csr")
 
 
 def _element_blocks(kind: str, trial: Space, test: Space) -> dict:
@@ -122,31 +120,31 @@ def _element_blocks(kind: str, trial: Space, test: Space) -> dict:
     if np.any(det <= 0):
         bad = int(np.argmax(det <= 0))
         raise ValueError(f"triangle {bad} has non-positive area")
+    tvals, tgrads = eval_basis(trial.scalar_kind, rule.points)
+    _, grads = eval_basis(test.scalar_kind, rule.points)
+    # R[c, d, i, j] = sum_q w_q d/dx_c phi_i * d/dx_d phi_j on the reference triangle
+    R = np.einsum("q,iqc,jqd->cdij", w, grads, tgrads)
 
     if kind == MASS:
         _require_scalar(kind, trial, test)
-        vals, _ = eval_basis(trial.scalar_kind, rule.points)
-        ref = np.einsum("q,iq,jq->ij", w, vals, vals)
+        ref = np.einsum("q,iq,jq->ij", w, tvals, tvals)
         return {(0, 0): ref[None, :, :] * det[:, None, None]}
 
     if kind == P_STIFFNESS:
         _require_scalar(kind, trial, test)
-        _, grads_ref = eval_basis(trial.scalar_kind, rule.points)
-        g = physical_gradients(inv_t, grads_ref)
-        return {(0, 0): np.einsum("q,tiqa,tjqa,t->tij", w, g, g, det)}
+        return {(0, 0): _contract(np.einsum("tac,tad,t->tcd", inv_t, inv_t, det), R)}
 
     if kind in (ELASTICITY, DIV_DIV):
         if trial.kind != P2_VECTOR or test.kind != P2_VECTOR:
             raise ValueError(f"{kind} requires vector trial and test spaces")
-        _, grads_ref = eval_basis(trial.scalar_kind, rule.points)
-        g = physical_gradients(inv_t, grads_ref)
-        # G[t,i,j,a,b] = sum_q w_q g_i,a g_j,b |det|
-        G = np.einsum("q,tiqa,tjqb,t->tijab", w, g, g, det)
+        # G[t,a,b,i,j] = integral of d/dx_a phi_i * d/dx_b phi_j over triangle t
+        G = _contract(inv_t[:, :, None, :, None] * inv_t[:, None, :, None, :]
+                      * det[:, None, None, None, None], R)
         if kind == DIV_DIV:
-            return {(c, d): G[..., c, d] for c in range(2) for d in range(2)}
+            return {(c, d): G[:, c, d] for c in range(2) for d in range(2)}
         # sym(e_c x grad_i) : sym(e_d x grad_j)
-        blocks = {(c, d): 0.5 * G[..., d, c] for c in range(2) for d in range(2)}
-        half_trace = 0.5 * (G[..., 0, 0] + G[..., 1, 1])
+        blocks = {(c, d): 0.5 * G[:, d, c] for c in range(2) for d in range(2)}
+        half_trace = 0.5 * (G[:, 0, 0] + G[:, 1, 1])
         for c in range(2):
             blocks[c, c] = blocks[c, c] + half_trace
         return blocks
@@ -154,14 +152,19 @@ def _element_blocks(kind: str, trial: Space, test: Space) -> dict:
     if kind == DIV_COUPLING:
         if trial.components != 1 or test.kind != P2_VECTOR:
             raise ValueError("div-coupling pairs a scalar trial with a vector test space")
-        tvals, _ = eval_basis(trial.scalar_kind, rule.points)
-        _, grads_ref = eval_basis(test.scalar_kind, rule.points)
-        g = physical_gradients(inv_t, grads_ref)
         # ke[t,c,i,j] = integral of (trial_j * d/dx_c test_i)
-        ke = np.einsum("q,jq,tiqc,t->tcij", w, tvals, g, det)
+        ke = _contract(inv_t * det[:, None, None], np.einsum("q,jq,iqa->aij", w, tvals, grads))
         return {(c, 0): ke[:, c] for c in range(2)}
 
     raise ValueError(f"unknown form kind {kind!r}")
+
+
+def _contract(geo, ref):
+    """Sum ``geo[t, ..., k] * ref[k, i, j]`` over the reference axes k (the
+    trailing axes of the per-triangle geometry) as one matrix product."""
+    k = ref.ndim - 2
+    size = math.prod(ref.shape[:k])
+    return (geo.reshape(-1, size) @ ref.reshape(size, -1)).reshape(geo.shape[:-k] + ref.shape[k:])
 
 
 def _require_scalar(kind, trial, test):

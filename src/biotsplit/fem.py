@@ -232,12 +232,6 @@ def physical_points(mesh: TriMesh, points: np.ndarray) -> tuple[np.ndarray, np.n
                  for k in range(2))
 
 
-def physical_gradients(inv_t: np.ndarray, grads_ref: np.ndarray) -> np.ndarray:
-    """(nt, nb, nq, 2) gradient of shape function i at point q on triangle t,
-    from reference gradients (nb, nq, 2) and the inverse-transpose Jacobians."""
-    return np.einsum("tab,iqb->tiqa", inv_t, grads_ref)
-
-
 def interpolate(space: Space, f: Callable) -> "FieldVector":
     """Nodal interpolation onto the space.
 

@@ -1,4 +1,4 @@
-"""Sparse direct factorization and CG, with per-solve residual tracking.
+"""Sparse direct factorization with per-solve residual tracking.
 
 Every solve records its relative residual ``||Ax - b|| / ||b||`` so a run can
 prove after the fact that no linear system was solved sloppily; the benchmark
@@ -17,14 +17,8 @@ class SingularMatrixError(RuntimeError):
     """Factorization hit a singular pivot."""
 
 
-class ConvergenceError(RuntimeError):
-    """Iterative solve exhausted its iteration budget."""
-
-    def __init__(self, message, iterations, residual, history=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
-        self.history = history
+#: Phrases of SuperLU's allocator failures, as they appear in ``splu`` errors.
+_OUT_OF_MEMORY = ("SUPERLU_MALLOC", "Can't expand MemType")
 
 
 class Factorization:
@@ -75,6 +69,11 @@ def lu_factor(A: sparse.spmatrix) -> Factorization:
     SingularMatrixError
         If the matrix is structurally or numerically singular; structurally
         empty rows/columns are named explicitly.
+    MemoryError
+        If SuperLU reports that its allocator failed.
+    RuntimeError
+        If SuperLU rejects its own arguments, which it does when it runs out
+        of memory at some stages.
     """
     A = sparse.csr_matrix(A)
     n, m = A.shape
@@ -89,48 +88,15 @@ def lu_factor(A: sparse.spmatrix) -> Factorization:
         col = int(np.argmin(col_counts))
         raise SingularMatrixError(f"matrix is structurally singular: column {col} is empty")
     perm = reverse_cuthill_mckee(abs(A) + abs(A.T), symmetric_mode=True)
+    what = f"sparse LU of a {n}x{n} matrix with {A.nnz} nonzeros"
     try:
         lu = spla.splu(A[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True))
+    except SystemError as exc:
+        raise RuntimeError(f"{what} failed: {exc} (SuperLU may have run out of memory)") from exc
     except RuntimeError as exc:  # SuperLU reports numeric singularity this way
+        if any(key in str(exc) for key in _OUT_OF_MEMORY):
+            raise MemoryError(f"{what} ran out of memory: {exc}") from exc
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
     return Factorization(A, lu, perm)
 
-
-def cg_solve(A: sparse.spmatrix, b: np.ndarray, tol: float = 1e-10,
-             maxit: int = 1000) -> tuple[np.ndarray, int]:
-    """Conjugate gradients for SPD systems.
-
-    Returns (x, iterations).  b = 0 returns the zero vector in 0 iterations.
-
-    Raises
-    ------
-    ConvergenceError
-        After ``maxit`` iterations without reaching the relative residual
-        ``tol``; carries the iteration count, final residual, and history.
-    """
-    b = np.asarray(b, dtype=float)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
-    x = np.zeros_like(b)
-    r = b.copy()
-    d = r.copy()
-    rr = float(r @ r)
-    history = []
-    for it in range(1, maxit + 1):
-        Ad = A @ d
-        alpha = rr / float(d @ Ad)
-        x += alpha * d
-        r -= alpha * Ad
-        rr_new = float(r @ r)
-        rel = np.sqrt(rr_new) / bnorm
-        history.append(rel)
-        if rel <= tol:
-            return x, it
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    raise ConvergenceError(
-        f"CG did not reach tol={tol:g} in {maxit} iterations "
-        f"(final relative residual {history[-1]:.3e})",
-        iterations=maxit, residual=history[-1], history=history)

@@ -26,7 +26,9 @@ from biotsplit.assembly import (
     dirichlet_values,
     export_matrix,
 )
-from biotsplit.fem import Space, interpolate
+from biotsplit.benchmark import compute_errors, make_case
+from biotsplit.biot import BiotState
+from biotsplit.fem import Space, affine_maps, eval_basis, interpolate, quadrature
 from biotsplit.mesh import BOTTOM, TOP, TriMesh, build_uniform
 
 
@@ -305,3 +307,142 @@ def test_export_matrix_roundtrip(tmp_path):
     export_matrix(M, str(path))
     back = scipy.io.mmread(str(path))
     np.testing.assert_allclose(back.toarray(), M.toarray(), atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# entrywise oracle on a distorted mesh: per-point quadrature, no shortcuts
+# ---------------------------------------------------------------------------
+
+def distorted_mesh():
+    """build_uniform(4) with interior vertices moved by up to h/4 per coordinate:
+    no two triangles share a Jacobian, and only the corner triangle whose
+    vertices all lie on the boundary keeps a diagonal one."""
+    mesh = build_uniform(4)
+    vertices = mesh.vertices.copy()
+    inner = np.all((vertices > 1e-12) & (vertices < 1 - 1e-12), axis=1)
+    rng = np.random.default_rng(20)
+    vertices[inner] += rng.uniform(-0.25 / 4, 0.25 / 4, size=(int(inner.sum()), 2))
+    return TriMesh(vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
+
+
+def pointwise_geometry(mesh):
+    """Degree-5 rule, Jacobians, inverse-transpose Jacobians and determinants
+    computed from the vertices alone."""
+    corners = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    jac = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=-1)
+    return quadrature(5), jac, np.linalg.inv(jac).transpose(0, 2, 1), np.linalg.det(jac)
+
+
+def brute_force_matrix(kind, trial, test):
+    """Dense matrix of a form from physical gradients at every quadrature point."""
+    rule, _, inv_t, det = pointwise_geometry(trial.mesh)
+    w = rule.weights
+    vals_q, grads_q = eval_basis(trial.scalar_kind, rule.points)
+    vals_t, grads_t = eval_basis(test.scalar_kind, rule.points)
+    gq = np.einsum("tab,iqb->tiqa", inv_t, grads_q)  # d/dx_a of shape i at point q
+    gt = np.einsum("tab,iqb->tiqa", inv_t, grads_t)
+    # local[t, c, i, d, j]: test shape i of component c, trial shape j of component d
+    if kind == MASS:
+        local = np.einsum("q,iq,jq,t->tij", w, vals_t, vals_q, det)[:, None, :, None, :]
+    elif kind == P_STIFFNESS:
+        local = np.einsum("q,tiqa,tjqa,t->tij", w, gt, gq, det)[:, None, :, None, :]
+    elif kind == DIV_DIV:  # div(phi_i e_c) = d/dx_c phi_i
+        local = np.einsum("q,tiqc,tjqd,t->tcidj", w, gt, gq, det)
+    elif kind == DIV_COUPLING:
+        local = np.einsum("q,tiqc,jq,t->tcij", w, gt, vals_q, det)[..., None, :]
+    else:  # ELASTICITY: eps(phi_i e_c)[r, s] = (delta_rc g_s + delta_sc g_r) / 2
+        def strain(g):
+            outer = np.einsum("cr,tiqs->tiqcrs", np.eye(2), g)
+            return 0.5 * (outer + np.swapaxes(outer, -1, -2))
+        local = np.einsum("q,tiqcrs,tjqdrs,t->tcidj", w, strain(gt), strain(gq), det)
+    dense = np.zeros((test.num_dofs, trial.num_dofs))
+    tdofs, qdofs = test.cell_dofs(), trial.cell_dofs()
+    for c in range(test.components):
+        for d in range(trial.components):
+            rows = tdofs[:, :, None] + c * test.num_scalar_dofs
+            cols = qdofs[:, None, :] + d * trial.num_scalar_dofs
+            np.add.at(dense, (np.broadcast_to(rows, local[:, c, :, d].shape),
+                              np.broadcast_to(cols, local[:, c, :, d].shape)),
+                      local[:, c, :, d])
+    return dense
+
+
+@pytest.fixture(scope="module")
+def distorted():
+    mesh = distorted_mesh()
+    _, jac, _, det = pointwise_geometry(mesh)
+    assert det.min() > 0
+    assert np.count_nonzero(jac[:, 0, 1] * jac[:, 1, 0] == 0) < len(jac) // 4
+    assert len(np.unique(np.round(jac.reshape(len(jac), 4), 12), axis=0)) == len(jac)
+    return mesh
+
+
+@pytest.mark.parametrize("kind, trial_kind, test_kind", [
+    (ELASTICITY, "p2-vector", "p2-vector"),
+    (DIV_DIV, "p2-vector", "p2-vector"),
+    (DIV_COUPLING, "p1", "p2-vector"),
+    (MASS, "p2", "p2"),
+    (P_STIFFNESS, "p2", "p2"),
+    (P_STIFFNESS, "p1", "p1"),
+])
+def test_forms_match_pointwise_quadrature_on_distorted_mesh(distorted, kind, trial_kind,
+                                                            test_kind):
+    trial, test = Space(distorted, trial_kind), Space(distorted, test_kind)
+    A = assemble_form(kind, trial, test)
+    assert A.has_canonical_format
+    expect = brute_force_matrix(kind, trial, test)
+    assert np.abs(A.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("kind", ["p1", "p2"])
+def test_mass_matrix_is_the_element_order_sum(distorted, kind):
+    # a lexsort of all (row, col) contributions, then one reduceat per entry
+    # in triangle order: the mass matrix must keep exactly these bits
+    space = Space(distorted, kind)
+    rule = quadrature(5)
+    vals, _ = eval_basis(kind, rule.points)
+    _, _, det = affine_maps(distorted)
+    ke = np.einsum("q,iq,jq->ij", rule.weights, vals, vals)[None] * det[:, None, None]
+    dofs = space.cell_dofs()
+    rows = np.repeat(dofs, dofs.shape[1], axis=1).ravel()
+    cols = np.tile(dofs, (1, dofs.shape[1])).ravel()
+    order = np.lexsort((cols, rows))
+    rows, cols, data = rows[order], cols[order], ke.ravel()[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
+    expect = np.zeros((space.num_dofs, space.num_dofs))
+    expect[rows[starts], cols[starts]] = np.add.reduceat(data, starts)
+    assert np.array_equal(assemble_form(MASS, space, space).toarray(), expect)
+
+
+def test_errors_match_pointwise_loop_on_distorted_mesh(distorted):
+    case = make_case("nu03")
+    t = 0.5
+    rng = np.random.default_rng(21)
+    fields = []
+    for kind, exact in (("p2-vector", case.u_exact), ("p1", case.xi_exact),
+                        ("p1", case.p_exact)):
+        field = interpolate(Space(distorted, kind), lambda x, y: exact(x, y, t))
+        field.values += 0.05 * rng.standard_normal(field.values.shape)
+        fields.append(field)
+    got = compute_errors(BiotState(*fields, t), case).as_tuple()
+
+    rule, jac, inv_t, det = pointwise_geometry(distorted)
+    origin = distorted.vertices[distorted.triangles[:, 0]]
+    expect = []
+    for field, exact, grad in zip(fields, (case.u_exact, case.xi_exact, case.p_exact),
+                                  (case.grad_u_exact, case.grad_xi_exact, case.grad_p_exact)):
+        space = field.space
+        vals, grads = eval_basis(space.scalar_kind, rule.points)
+        l2sq = h1sq = 0.0
+        for tri, dofs in enumerate(space.cell_dofs()):
+            for q, (ref, w) in enumerate(zip(rule.points, rule.weights)):
+                x, y = origin[tri] + jac[tri] @ ref
+                value = np.reshape(exact(np.array(x), np.array(y), t), (space.components,))
+                gradient = np.reshape(grad(np.array(x), np.array(y), t), (space.components, 2))
+                for c in range(space.components):
+                    coeff = field.component(c)[dofs]
+                    l2sq += w * det[tri] * (coeff @ vals[:, q] - value[c]) ** 2
+                    h1sq += w * det[tri] * np.sum(
+                        (inv_t[tri] @ (coeff @ grads[:, q, :]) - gradient[c]) ** 2)
+        expect += [np.sqrt(l2sq), np.sqrt(l2sq + h1sq)]
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)

@@ -1,19 +1,14 @@
-"""Direct and iterative solver contracts."""
+"""Direct solver contracts."""
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from biotsplit.assembly import MASS, P_STIFFNESS, assemble_form, constrain_matrix
-from biotsplit.benchmark import benchmark_loads, make_case
+from biotsplit import linalg
+from biotsplit.assembly import constrain_matrix
+from biotsplit.benchmark import benchmark_loads, make_case, run_study
 from biotsplit.biot import build_system
-from biotsplit.fem import Space
-from biotsplit.linalg import (
-    ConvergenceError,
-    SingularMatrixError,
-    cg_solve,
-    lu_factor,
-)
+from biotsplit.linalg import SingularMatrixError, lu_factor
 from biotsplit.mesh import build_uniform
 
 
@@ -146,40 +141,45 @@ def test_factorization_reuse_is_bit_identical(rng):
     assert fact.num_solves == 2
 
 
-def test_cg_zero_rhs_is_zero_iterations():
-    A = sparse.eye(7, format="csr")
-    x, its = cg_solve(A, np.zeros(7))
-    assert its == 0
-    assert np.array_equal(x, np.zeros(7))
+def _splu_raising(exc):
+    def splu(*args, **kwargs):
+        raise exc
+    return splu
 
 
-def test_cg_matches_lu_on_fem_matrix():
-    space = Space(build_uniform(6), "p1")
-    M = assemble_form(MASS, space, space)
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal(space.num_dofs)
-    x_cg, its = cg_solve(M, b, tol=1e-12)
-    x_lu = lu_factor(M).solve(b)
-    assert 0 < its < 200
-    np.testing.assert_allclose(x_cg, x_lu, atol=1e-10)
+@pytest.mark.parametrize("message", [
+    "SUPERLU_MALLOC fails for buf in intCalloc() at line 149 in file memory.c",
+    "Can't expand MemType 1: jcol 7",
+])
+def test_lu_reports_superlu_out_of_memory(monkeypatch, rng, message):
+    monkeypatch.setattr(linalg.spla, "splu", _splu_raising(RuntimeError(message)))
+    A = random_spd(12, rng)
+    with pytest.raises(MemoryError,
+                       match="12x12 matrix with 144 nonzeros ran out of memory") as info:
+        lu_factor(A)
+    assert message in str(info.value)
+    assert not isinstance(info.value, SingularMatrixError)
 
 
-def test_cg_solves_constrained_stiffness():
-    space = Space(build_uniform(5), "p2", dirichlet_tags=(1, 3))
-    K = constrain_matrix(assemble_form(P_STIFFNESS, space, space),
-                         space.dirichlet_dofs())
-    rng = np.random.default_rng(11)
-    b = rng.standard_normal(space.num_dofs)
-    x, _ = cg_solve(K, b, tol=1e-12, maxit=2000)
-    assert np.linalg.norm(K @ x - b) / np.linalg.norm(b) < 1e-11
+def test_lu_wraps_superlu_system_error(monkeypatch, rng):
+    # seen under a ulimit -v cap: SuperLU then rejects its own arguments
+    exc = SystemError("gstrf was called with invalid arguments")
+    monkeypatch.setattr(linalg.spla, "splu", _splu_raising(exc))
+    with pytest.raises(RuntimeError, match="may have run out of memory") as info:
+        lu_factor(random_spd(12, rng))
+    assert "12x12" in str(info.value) and "gstrf" in str(info.value)
+    assert not isinstance(info.value, SingularMatrixError)
 
 
-def test_cg_convergence_error_carries_history(rng):
-    A = random_spd(50, rng)
-    b = rng.standard_normal(50)
-    with pytest.raises(ConvergenceError) as info:
-        cg_solve(A, b, tol=1e-15, maxit=3)
-    err = info.value
-    assert err.iterations == 3
-    assert len(err.history) == 3
-    assert err.residual == err.history[-1]
+def test_lu_exactly_singular_stays_singular(monkeypatch, rng):
+    exc = RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(linalg.spla, "splu", _splu_raising(exc))
+    with pytest.raises(SingularMatrixError, match="Factor is exactly singular"):
+        lu_factor(random_spd(12, rng))
+
+
+def test_run_study_names_out_of_memory(monkeypatch):
+    exc = RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()")
+    monkeypatch.setattr(linalg.spla, "splu", _splu_raising(exc))
+    with pytest.raises(RuntimeError, match=r"level 1 \(1/h=4\) failed: .*out of memory"):
+        run_study("coupled", make_case("nu03", T=1e-3), levels=2, n0=4)
