@@ -16,10 +16,9 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sparse
 
-from . import fem
 from .fem import (P1, P2_VECTOR, Space, affine_maps, edge_quadrature, eval_basis,
                   physical_points, quadrature)
-from .mesh import NEUMANN_TAGS, SIDE_NORMALS, TriMesh
+from .mesh import NEUMANN_TAGS, SIDE_NORMALS
 
 ELASTICITY = "elasticity"      # (eps(u), eps(v)) on the vector space
 DIV_COUPLING = "div-coupling"  # (q, div v), trial scalar, test vector
@@ -114,7 +113,7 @@ def assemble_form(kind: str, trial: Space, test: Space) -> sparse.csr_matrix:
 def _element_blocks(kind: str, trial: Space, test: Space) -> dict:
     """Element matrices of a form as ``{(c, d): ke}``: ``ke[t, i, j]`` pairs
     test shape i of component c with trial shape j of component d on triangle t."""
-    rule = quadrature(fem.DEFAULT_DEGREE)
+    rule = quadrature()
     w = rule.weights
     _, inv_t, det = affine_maps(trial.mesh)
     if np.any(det <= 0):
@@ -197,7 +196,7 @@ def assemble_functional(kind: str, test: Space, data, tags=NEUMANN_TAGS) -> np.n
 
 def _volume_load(test: Space, data) -> np.ndarray:
     mesh = test.mesh
-    rule = quadrature(fem.DEFAULT_DEGREE)
+    rule = quadrature()
     vals, _ = eval_basis(test.scalar_kind, rule.points)
     _, _, det = affine_maps(mesh)
     xq, yq = physical_points(mesh, rule.points)

@@ -21,13 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import fem
 from .assembly import PhysParams
 from .biot import (STEPPERS, BiotState, DiscreteSystem, LoadSet, advance, build_system,
                    check_iteration_settings)
 from .fem import affine_maps, eval_basis, interpolate, physical_points, quadrature
-from .mesh import CELL_SPLIT
-from .mesh import TriMesh, build_uniform, refine
+from .mesh import CELL_SPLIT, build_uniform, refine
 
 #: Named parameter presets; unlisted values fall back to PhysParams defaults.
 PRESETS = {
@@ -146,26 +144,6 @@ class ManufacturedCase:
         gp = self.grad_p_profile(x, y)
         return self.params.K * (gp[0] * normal[0] + gp[1] * normal[1])
 
-    # -- exact fields at a given time (for error norms) ----------------------
-
-    def u_exact(self, x, y, t):
-        return self.time_factor(t) * self.u_profile(x, y)
-
-    def p_exact(self, x, y, t):
-        return self.time_factor(t) * self.p_profile(x, y)
-
-    def xi_exact(self, x, y, t):
-        return self.time_factor(t) * self.xi_profile(x, y)
-
-    def grad_u_exact(self, x, y, t):
-        return self.time_factor(t) * self.grad_u_profile(x, y)
-
-    def grad_p_exact(self, x, y, t):
-        return self.time_factor(t) * self.grad_p_profile(x, y)
-
-    def grad_xi_exact(self, x, y, t):
-        return self.time_factor(t) * self.grad_xi_profile(x, y)
-
     # -- strong-form residuals (transcription guard) --------------------------
 
     def strong_form_residual(self, x, y, t):
@@ -244,8 +222,8 @@ class ErrorSet:
 def compute_errors(state: BiotState, case: ManufacturedCase) -> ErrorSet:
     """Element-quadrature L2/H1 errors of (u, xi, p) against the exact fields."""
     mesh = state.u.space.mesh
-    t = state.t
-    rule = quadrature(fem.DEFAULT_DEGREE)
+    tf = case.time_factor(state.t)
+    rule = quadrature()
     _, inv_t, det = affine_maps(mesh)
     inv = np.transpose(inv_t, (0, 2, 1))
     weights = np.outer(det, rule.weights)
@@ -266,10 +244,11 @@ def compute_errors(state: BiotState, case: ManufacturedCase) -> ErrorSet:
             gradsq += float(np.sum(weights[:, :, None] * gdiff ** 2))
         return np.sqrt(l2sq), np.sqrt(l2sq + gradsq)
 
-    l2u, h1u = errors(state.u, case.u_exact(xq, yq, t), case.grad_u_exact(xq, yq, t))
-    l2xi, h1xi = errors(state.xi, [case.xi_exact(xq, yq, t)],
-                        [case.grad_xi_exact(xq, yq, t)])
-    l2p, h1p = errors(state.p, [case.p_exact(xq, yq, t)], [case.grad_p_exact(xq, yq, t)])
+    l2u, h1u = errors(state.u, tf * case.u_profile(xq, yq), tf * case.grad_u_profile(xq, yq))
+    l2xi, h1xi = errors(state.xi, [tf * case.xi_profile(xq, yq)],
+                        [tf * case.grad_xi_profile(xq, yq)])
+    l2p, h1p = errors(state.p, [tf * case.p_profile(xq, yq)],
+                      [tf * case.grad_p_profile(xq, yq)])
     return ErrorSet(l2u, h1u, l2xi, h1xi, l2p, h1p)
 
 

@@ -34,7 +34,7 @@ from .assembly import (BOUNDARY_FLUX, BOUNDARY_TRACTION, DIV_COUPLING, DIV_DIV,
                        constrain_rhs, dirichlet_columns, dirichlet_values)
 from .fem import P1, P2_VECTOR, FieldVector, Space
 from .linalg import Factorization, lu_factor
-from .mesh import DIRICHLET_TAGS, NEUMANN_TAGS, TriMesh
+from .mesh import DIRICHLET_TAGS, TriMesh
 
 
 def _static_time_factor(t: float) -> float:
@@ -68,9 +68,6 @@ class BiotState:
     p: FieldVector
     t: float
 
-    def copy(self) -> "BiotState":
-        return BiotState(self.u.copy(), self.xi.copy(), self.p.copy(), self.t)
-
 
 class _ConstrainedSolver:
     """One block system: raw matrix, Dirichlet dofs, reusable factorization."""
@@ -101,15 +98,14 @@ class DiscreteSystem:
     ``solver``); every solve enters ``max_solver_residual``.
     """
 
-    def __init__(self, mesh: TriMesh, params: PhysParams, loads: LoadSet,
-                 dirichlet_tags=DIRICHLET_TAGS, neumann_tags=NEUMANN_TAGS):
+    def __init__(self, mesh: TriMesh, params: PhysParams, loads: LoadSet):
         self.mesh = mesh
         self.params = params
         self.loads = loads
 
-        self.V = Space(mesh, P2_VECTOR, tuple(dirichlet_tags))
+        self.V = Space(mesh, P2_VECTOR, DIRICHLET_TAGS)
         self.W = Space(mesh, P1)
-        self.M = Space(mesh, P1, tuple(dirichlet_tags))
+        self.M = Space(mesh, P1, DIRICHLET_TAGS)
 
         self.elasticity = assemble_form(ELASTICITY, self.V, self.V)
         self.div_coupling = assemble_form(DIV_COUPLING, self.W, self.V)
@@ -122,15 +118,13 @@ class DiscreteSystem:
         self.fu_profile = np.zeros(nv)
         if loads.volume_force is not None:
             self.fu_profile += assemble_functional(VOLUME_LOAD, self.V, loads.volume_force)
-        if loads.traction is not None and neumann_tags:
-            self.fu_profile += assemble_functional(
-                BOUNDARY_TRACTION, self.V, loads.traction, tags=neumann_tags)
+        if loads.traction is not None:
+            self.fu_profile += assemble_functional(BOUNDARY_TRACTION, self.V, loads.traction)
         self.fq_profile = np.zeros(self.M.num_dofs)
         if loads.mass_source is not None:
             self.fq_profile += assemble_functional(VOLUME_LOAD, self.M, loads.mass_source)
-        if loads.flux is not None and neumann_tags:
-            self.fq_profile += assemble_functional(
-                BOUNDARY_FLUX, self.M, loads.flux, tags=neumann_tags)
+        if loads.flux is not None:
+            self.fq_profile += assemble_functional(BOUNDARY_FLUX, self.M, loads.flux)
 
         self.bd_u = self.V.dirichlet_dofs()
         self.bd_p = self.M.dirichlet_dofs()
@@ -138,7 +132,6 @@ class DiscreteSystem:
         self.gp_profile = dirichlet_values(self.M, loads.pressure_bc)
 
         self._solvers: dict[str, _ConstrainedSolver] = {}
-        self._div_div = None
 
     # -- block systems ------------------------------------------------------
 
@@ -185,12 +178,6 @@ class DiscreteSystem:
         """L2 norm of the symmetric gradient of a vector coefficient field."""
         return float(np.sqrt(max(u_values @ (self.elasticity @ u_values), 0.0)))
 
-    def div_norm(self, u_values: np.ndarray) -> float:
-        """L2 norm of the divergence of a vector coefficient field."""
-        if self._div_div is None:
-            self._div_div = assemble_form(DIV_DIV, self.V, self.V)
-        return float(np.sqrt(max(u_values @ (self._div_div @ u_values), 0.0)))
-
     def max_solver_residual(self) -> float:
         """Worst relative residual of any solve so far; NaN if any was NaN."""
         return float(np.max([s.fact.max_rel_residual for s in self._solvers.values()],
@@ -226,10 +213,9 @@ class DiscreteSystem:
                 - c_xi * (self.mass @ state.xi.values))
 
 
-def build_system(mesh: TriMesh, params: PhysParams, loads: LoadSet,
-                 dirichlet_tags=DIRICHLET_TAGS, neumann_tags=NEUMANN_TAGS) -> DiscreteSystem:
+def build_system(mesh: TriMesh, params: PhysParams, loads: LoadSet) -> DiscreteSystem:
     """Assemble all blocks and load profiles for one mesh level."""
-    return DiscreteSystem(mesh, params, loads, dirichlet_tags, neumann_tags)
+    return DiscreteSystem(mesh, params, loads)
 
 
 def step_coupled(sys: DiscreteSystem, state: BiotState) -> BiotState:
@@ -283,24 +269,28 @@ def check_iteration_settings(iters: int | None, tol: float | None) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
+#: Sweep budget of one step in ``tol`` mode.
+MAX_SWEEPS = 500
+
+
 def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = None,
-                   tol: float | None = None, max_iters: int = 500,
-                   start: BiotState | None = None):
+                   tol: float | None = None):
     """One time step of the iteratively decoupled algorithm.
 
     Alternates the SPD pressure solve (source term (alpha/lam)*(xi_prev_iter -
     xi_prev_step)) with the Stokes solve, starting from the previous time
     level.  Exactly one of ``iters`` (fixed count) or ``tol`` (stop when the
-    total-pressure increment drops below it) must be given.
+    total-pressure increment drops below it, within ``MAX_SWEEPS`` sweeps)
+    must be given.
 
     Returns (state_n, increments) where increments[i] is the L2 norm of
     xi^{n,i+1} - xi^{n,i}.
     """
     check_iteration_settings(iters, tol)
-    xi_i = (start or state).xi.values
+    xi_i = state.xi.values
     increments: list[float] = []
-    budget = iters if iters is not None else max_iters
-    for it_state in islice(_split_sweeps(sys, state, start), budget):
+    budget = iters if iters is not None else MAX_SWEEPS
+    for it_state in islice(_split_sweeps(sys, state), budget):
         increments.append(sys.l2_p1(it_state.xi.values - xi_i))
         xi_i = it_state.xi.values
         if tol is not None and increments[-1] <= tol:
@@ -309,19 +299,18 @@ def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = No
         if tol is not None:
             raise ConvergenceFailure(
                 f"decoupling iteration did not reach tol={tol:g} within "
-                f"{max_iters} iterations", increments)
+                f"{MAX_SWEEPS} iterations", increments)
     return it_state, increments
 
 
-def _split_sweeps(sys: DiscreteSystem, state: BiotState,
-                  start: BiotState | None = None) -> Iterator[BiotState]:
+def _split_sweeps(sys: DiscreteSystem, state: BiotState) -> Iterator[BiotState]:
     """The split iterates of the step after ``state``: one pressure solve and
-    one Stokes solve per sweep, starting from ``start`` (default ``state``)."""
+    one Stokes solve per sweep, starting from ``state``."""
     t = state.t + sys.params.dt
     gu, gp = sys._bc_values(t)
     base = sys._pressure_rhs_base(state, t)
     _, c_xi = sys._coef
-    xi_i = (start or state).xi.values
+    xi_i = state.xi.values
     while True:
         p_i = sys.solver("pressure").solve(base + c_xi * (sys.mass @ xi_i), gp)
         u_i, xi_i = _solve_stokes(sys, p_i, t, gu)
@@ -389,30 +378,30 @@ class ContractionReport:
         i = np.arange(1, len(self.xi_errors))
         return self.rho ** i * self.xi_errors[0] - self.xi_errors[1:]
 
-    def pressure_bound_ok(self, slack: float = 1e-9) -> bool:
+    def pressure_bound_ok(self) -> bool:
         """||e_p^i|| <= (rho/alpha) ||e_xi^{i-1}|| per iteration."""
         bound = (self.rho / self.alpha) * self.xi_errors[:-1]
-        return bool(np.all(self.p_errors <= bound * (1 + slack) + 1e-12 * self.scale))
+        return bool(np.all(self.p_errors <= bound * (1 + 1e-9) + 1e-12 * self.scale))
 
-    def strain_bound_ok(self, slack: float = 1e-9) -> bool:
+    def strain_bound_ok(self) -> bool:
         """||eps(e_u^i)|| <= sqrt(2)/(2 mu) ||e_xi^i|| per iteration."""
         bound = (np.sqrt(2.0) / (2.0 * self.mu)) * self.xi_errors[1:]
-        return bool(np.all(self.strain_errors <= bound * (1 + slack) + 1e-12 * self.scale))
+        return bool(np.all(self.strain_errors <= bound * (1 + 1e-9) + 1e-12 * self.scale))
 
 
-def contraction_monitor(sys: DiscreteSystem, state: BiotState, imax: int = 25,
-                        start: BiotState | None = None) -> ContractionReport:
+def contraction_monitor(sys: DiscreteSystem, state: BiotState,
+                        imax: int = 25) -> ContractionReport:
     """Run the split iteration for one step and measure its errors.
 
     The coupled solve of the same step is the oracle; errors are L2 norms of
-    iterate minus oracle.  ``start`` overrides the iterate initialization
-    (defaults to the previous time level, as the algorithm prescribes).
+    iterate minus oracle.  The iteration starts from the previous time level,
+    as the algorithm prescribes.
     """
     p = sys.params
     reference = step_coupled(sys, state)
-    xi_errors = [sys.l2_p1((start or state).xi.values - reference.xi.values)]
+    xi_errors = [sys.l2_p1(state.xi.values - reference.xi.values)]
     p_errors, strain_errors = [], []
-    for it_state in islice(_split_sweeps(sys, state, start), imax):
+    for it_state in islice(_split_sweeps(sys, state), imax):
         xi_errors.append(sys.l2_p1(it_state.xi.values - reference.xi.values))
         p_errors.append(sys.l2_p1(it_state.p.values - reference.p.values))
         strain_errors.append(sys.strain_norm(it_state.u.values - reference.u.values))
@@ -489,22 +478,23 @@ def energy_check(sys: DiscreteSystem, states: list[BiotState]) -> EnergyReport:
     return EnergyReport(J=Js, S=S, defects=defects)
 
 
-def korn_check(sys: DiscreteSystem, num_fields: int = 1000, seed: int = 0,
-               rel_tol: float = 1e-12):
+def korn_check(sys: DiscreteSystem, num_fields: int = 1000, seed: int = 0):
     """Check ||div u_h|| <= sqrt(2) ||eps(u_h)|| over random coefficient fields.
 
     Returns (max_ratio, violations): the largest measured ||div|| / ||eps||
-    and how many fields broke the bound beyond ``rel_tol * ||eps(u_h)||``.
+    and how many fields broke the bound beyond ``1e-12 * ||eps(u_h)||``.
     """
     rng = np.random.default_rng(seed)
+    div_div = assemble_form(DIV_DIV, sys.V, sys.V)
     bound = np.sqrt(2.0)
     max_ratio, violations = 0.0, 0
     for _ in range(num_fields):
         u = rng.standard_normal(sys.V.num_dofs)
-        dn, en = sys.div_norm(u), sys.strain_norm(u)
+        dn = float(np.sqrt(max(u @ (div_div @ u), 0.0)))
+        en = sys.strain_norm(u)
         if en == 0.0:
             continue
         max_ratio = max(max_ratio, dn / en)
-        if dn > bound * en + rel_tol * en:
+        if dn > bound * en + 1e-12 * en:
             violations += 1
     return max_ratio, violations

@@ -31,19 +31,11 @@ class QuadratureRule(NamedTuple):
     degree: int
 
 
-def _rule_centroid() -> QuadratureRule:
-    return QuadratureRule(np.array([[1 / 3, 1 / 3]]), np.array([0.5]), 1)
-
-
-def _rule_three_point() -> QuadratureRule:
-    # edge-midpoint rule, exact to degree 2
-    pts = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-    return QuadratureRule(pts, np.full(3, 1 / 6), 2)
-
-
-def _rule_seven_point() -> QuadratureRule:
-    # Symmetric degree-5 rule: centroid (weight 9/40) plus two 3-point orbits
-    # at (9 +/- 2*sqrt(15))/21 with weights (155 +/- sqrt(15))/1200.
+def quadrature() -> QuadratureRule:
+    """Symmetric degree-5 triangle rule, used for every volume integral in the
+    package (mass, stiffness, loads, error norms alike) to keep them consistent."""
+    # centroid (weight 9/40) plus two 3-point orbits at (9 +/- 2*sqrt(15))/21
+    # with weights (155 +/- sqrt(15))/1200
     s15 = math.sqrt(15.0)
     pts = [(1 / 3, 1 / 3)]
     wts = [9 / 40]
@@ -53,21 +45,6 @@ def _rule_seven_point() -> QuadratureRule:
         pts += [(a, b), (b, a), (b, b)]
         wts += [w, w, w]
     return QuadratureRule(np.array(pts), 0.5 * np.array(wts), 5)
-
-
-_RULES = {1: _rule_centroid, 2: _rule_three_point, 3: _rule_seven_point,
-          4: _rule_seven_point, 5: _rule_seven_point}
-
-#: Rule used for every volume integral in the package (mass, stiffness,
-#: loads, error norms alike): one degree-5 rule keeps all terms consistent.
-DEFAULT_DEGREE = 5
-
-
-def quadrature(min_degree: int) -> QuadratureRule:
-    """Symmetric triangle rule exact for polynomials of degree >= min_degree."""
-    if not 1 <= min_degree <= 5:
-        raise ValueError(f"quadrature degree {min_degree} not supported (1..5)")
-    return _RULES[min_degree]()
 
 
 def edge_quadrature() -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +241,6 @@ class FieldVector:
             raise ValueError(
                 f"coefficient vector has shape {self.values.shape}, "
                 f"space has {self.space.num_dofs} dofs")
-
-    def copy(self) -> "FieldVector":
-        return FieldVector(self.space, self.values.copy())
 
     def component(self, c: int) -> np.ndarray:
         n = self.space.num_scalar_dofs

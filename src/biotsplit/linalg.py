@@ -31,11 +31,7 @@ class Factorization:
         self.num_solves = 0
         self.max_rel_residual = 0.0
 
-    @property
-    def shape(self):
-        return self._matrix.shape
-
-    def solve(self, b: np.ndarray, return_residual: bool = False):
+    def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve Ax = b; records the relative residual of this solve."""
         b = np.asarray(b, dtype=float)
         x = np.empty_like(b)
@@ -46,7 +42,7 @@ class Factorization:
         self.num_solves += 1
         if np.isnan(rel) or rel > self.max_rel_residual:
             self.max_rel_residual = rel
-        return (x, r) if return_residual else x
+        return x
 
 
 def lu_factor(A: sparse.spmatrix) -> Factorization:

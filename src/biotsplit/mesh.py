@@ -48,15 +48,12 @@ class TriMesh:
         Vertex index pairs of boundary edges.
     boundary_tags : (nb,) int array
         Side tag (1-4) per boundary edge.
-    level : int
-        Number of refinements applied since construction.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
-    level: int = 0
 
     _edges: np.ndarray = field(default=None, repr=False, compare=False)
     _tri_edges: np.ndarray = field(default=None, repr=False, compare=False)
@@ -168,9 +165,8 @@ def build_uniform(n: int) -> TriMesh:
 def refine(mesh: TriMesh) -> TriMesh:
     """Red refinement: each triangle is split into four via edge midpoints.
 
-    Boundary children inherit their parent's side tag, and the refinement
-    level is incremented.  New vertices are appended after the parent ones,
-    one per parent edge.
+    Boundary children inherit their parent's side tag.  New vertices are
+    appended after the parent ones, one per parent edge.
     """
     nv = mesh.num_vertices
     edges = mesh.edges
@@ -198,6 +194,5 @@ def refine(mesh: TriMesh) -> TriMesh:
         triangles=children,
         boundary_edges=bedges,
         boundary_tags=np.repeat(mesh.boundary_tags, 2),
-        level=mesh.level + 1,
     )
 

@@ -3,7 +3,7 @@
 Each criterion test prints exactly one ``[criterion NN] PASS/FAIL`` line and
 asserts it.  The reference error table and rate targets are frozen here; studies
 run at 1/h = 16..128 and are shared across criteria through module-scoped
-fixtures, so the whole gate costs a few minutes of CPU.
+fixtures, so the whole gate costs about a minute of CPU.
 
 Criterion 02 judges absolute error magnitudes against best-approximation
 oracles computed here from the exact solution on the same mesh chain (L2 and
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from biotsplit import fem
 from biotsplit.assembly import MASS, P_STIFFNESS, assemble_form
 from biotsplit.benchmark import (
     ErrorSet,
@@ -89,7 +88,7 @@ def _projection_errors(space, fields):
     minimizes exactly the quadrature norm that the measured errors are taken in.
     """
     mesh = space.mesh
-    rule = quadrature(fem.DEFAULT_DEGREE)
+    rule = quadrature()
     vals, grads_ref = eval_basis(space.scalar_kind, rule.points)
     _, inv_t, det = affine_maps(mesh)
     grads = np.einsum("tab,iqb->tiqa", inv_t, grads_ref)
@@ -136,14 +135,14 @@ def best_approximation_errors(case, n0: int, levels: int) -> np.ndarray:
     norms split over the displacement components, so each component is
     projected onto the scalar P2 space.
     """
-    t = case.params.T
-    fields_u = [(lambda x, y, c=c: case.u_exact(x, y, t)[c],
-                 lambda x, y, c=c: case.grad_u_exact(x, y, t)[c])
+    tf = case.time_factor(case.params.T)
+    fields_u = [(lambda x, y, c=c: tf * case.u_profile(x, y)[c],
+                 lambda x, y, c=c: tf * case.grad_u_profile(x, y)[c])
                 for c in range(2)]
-    fields_xi_p = [(lambda x, y: case.xi_exact(x, y, t),
-                    lambda x, y: case.grad_xi_exact(x, y, t)),
-                   (lambda x, y: case.p_exact(x, y, t),
-                    lambda x, y: case.grad_p_exact(x, y, t))]
+    fields_xi_p = [(lambda x, y: tf * case.xi_profile(x, y),
+                    lambda x, y: tf * case.grad_xi_profile(x, y)),
+                   (lambda x, y: tf * case.p_profile(x, y),
+                    lambda x, y: tf * case.grad_p_profile(x, y))]
     rows = []
     mesh = build_uniform(n0)
     for level in range(levels):
@@ -357,7 +356,7 @@ def test_criterion_10_unit_oracles():
                        - np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0],
                                    [-0.5, 0.0, 0.5]])).max()
 
-    rule = quadrature(5)
+    rule = quadrature()
     quad_err = max(
         abs(float(rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b))
             - math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2))

@@ -80,9 +80,10 @@ def test_initial_state_is_nodal_interpolation(small_system, nu03_case):
 
 def interpolant_state(case, n, t):
     mesh = build_uniform(n)
-    u = interpolate(Space(mesh, "p2-vector"), lambda x, y: case.u_exact(x, y, t))
-    xi = interpolate(Space(mesh, "p1"), lambda x, y: case.xi_exact(x, y, t))
-    p = interpolate(Space(mesh, "p1"), lambda x, y: case.p_exact(x, y, t))
+    tf = case.time_factor(t)
+    u = interpolate(Space(mesh, "p2-vector"), lambda x, y: tf * case.u_profile(x, y))
+    xi = interpolate(Space(mesh, "p1"), lambda x, y: tf * case.xi_profile(x, y))
+    p = interpolate(Space(mesh, "p1"), lambda x, y: tf * case.p_profile(x, y))
     return BiotState(u, xi, p, t)
 
 

@@ -2,7 +2,6 @@
 import json
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 import scipy.io
 
@@ -70,6 +69,16 @@ def test_unknown_check_in_config_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("check = vibes\n")
     assert main(["--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("line, message", [("algorithm = adi", "unknown algorithm 'adi'"),
+                                           ("preset = nope", "unknown preset 'nope'")],
+                         ids=["algorithm", "preset"])
+def test_unknown_algorithm_or_preset_in_config_exits_2(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["--config", str(cfg), "--n0", "4", "--levels", "2"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_levels_floor_enforced():

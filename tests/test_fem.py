@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biotsplit.fem import (
-    DEFAULT_DEGREE,
     FieldVector,
     Space,
     affine_maps,
@@ -38,23 +37,22 @@ def quad_integral(rule, a, b):
 
 
 def test_quadrature_weights_sum_to_area():
-    for deg in range(1, 6):
-        rule = quadrature(deg)
-        assert rule.weights.sum() == pytest.approx(0.5, abs=1e-15)
-        assert (rule.weights > 0).all()
+    rule = quadrature()
+    assert rule.weights.sum() == pytest.approx(0.5, abs=1e-15)
+    assert (rule.weights > 0).all()
 
 
 def test_quadrature_exact_to_declared_degree():
-    for deg in range(1, 6):
-        rule = quadrature(deg)
-        for a in range(rule.degree + 1):
-            for b in range(rule.degree + 1 - a):
-                assert quad_integral(rule, a, b) == pytest.approx(
-                    tri_monomial(a, b), abs=1e-15), (deg, a, b)
+    rule = quadrature()
+    assert rule.degree == 5
+    for a in range(rule.degree + 1):
+        for b in range(rule.degree + 1 - a):
+            assert quad_integral(rule, a, b) == pytest.approx(
+                tri_monomial(a, b), abs=1e-15), (a, b)
 
 
 def test_quadrature_frozen_values():
-    rule = quadrature(DEFAULT_DEGREE)
+    rule = quadrature()
     assert quad_integral(rule, 0, 0) == pytest.approx(0.5, abs=1e-15)
     assert quad_integral(rule, 2, 1) == pytest.approx(1 / 60, abs=1e-15)
     assert quad_integral(rule, 3, 2) == pytest.approx(1 / 420, abs=1e-15)
@@ -62,15 +60,8 @@ def test_quadrature_frozen_values():
 
 def test_default_rule_not_exact_beyond_degree_five():
     # x^6 integrates to 1/56; a degree-5 rule must miss it by a visible margin.
-    rule = quadrature(DEFAULT_DEGREE)
+    rule = quadrature()
     assert abs(quad_integral(rule, 6, 0) - 1 / 56) > 1e-6
-
-
-def test_quadrature_rejects_bad_degree():
-    with pytest.raises(ValueError):
-        quadrature(0)
-    with pytest.raises(ValueError):
-        quadrature(6)
 
 
 def test_edge_quadrature_exact_to_degree_nine():

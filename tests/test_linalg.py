@@ -33,9 +33,8 @@ def test_lu_random_spd_residual(rng):
     A = random_spd(40, rng)
     b = rng.standard_normal(40)
     fact = lu_factor(A)
-    x, r = fact.solve(b, return_residual=True)
+    x = fact.solve(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-11
-    np.testing.assert_allclose(r, A @ x - b, atol=1e-15)
     assert fact.num_solves == 1
     assert fact.max_rel_residual < 1e-11
 

@@ -8,7 +8,6 @@ from biotsplit.mesh import (
     LEFT,
     RIGHT,
     TOP,
-    TriMesh,
     build_uniform,
     refine,
 )
@@ -88,7 +87,6 @@ def test_refine_counts_and_tags():
     mesh = build_uniform(3)
     fine = refine(mesh)
     assert fine.num_triangles == 4 * mesh.num_triangles
-    assert fine.level == mesh.level + 1
     assert len(fine.boundary_edges) == 2 * len(mesh.boundary_edges)
     counts = np.bincount(fine.boundary_tags, minlength=5)
     assert counts[1:].tolist() == [6, 6, 6, 6]
