@@ -173,12 +173,13 @@ def _require_scalar(kind, trial, test):
         raise ValueError(f"{kind} requires matching trial/test elements")
 
 
-def assemble_functional(kind: str, test: Space, data, tags=NEUMANN_TAGS) -> np.ndarray:
+def assemble_functional(kind: str, test: Space, data) -> np.ndarray:
     """Assemble a load functional into a dense vector over test-space dofs.
 
-    ``data`` is evaluated vectorized: volume loads as ``data(x, y)``, boundary
-    terms as ``data(x, y, normal)`` with the outward unit normal of the tagged
-    side.  Vector-valued data returns a stack ``(f_x, f_y)``.
+    ``data`` is evaluated vectorized: volume loads as ``data(x, y)`` over the
+    whole domain, boundary terms as ``data(x, y, normal)`` on each Neumann
+    side (``NEUMANN_TAGS``) with its outward unit normal.  Vector-valued data
+    returns a stack ``(f_x, f_y)``.
     """
     if kind == VOLUME_LOAD:
         return _volume_load(test, data)
@@ -187,10 +188,7 @@ def assemble_functional(kind: str, test: Space, data, tags=NEUMANN_TAGS) -> np.n
             raise ValueError("boundary traction needs a vector test space")
         if kind == BOUNDARY_FLUX and test.components != 1:
             raise ValueError("boundary flux needs a scalar test space")
-        for tag in tags:
-            if tag not in SIDE_NORMALS:
-                raise ValueError(f"unknown boundary tag {tag}")
-        return _boundary_load(test, data, tuple(tags))
+        return _boundary_load(test, data)
     raise ValueError(f"unknown functional kind {kind!r}")
 
 
@@ -212,7 +210,7 @@ def _volume_load(test: Space, data) -> np.ndarray:
     return out
 
 
-def _boundary_load(test: Space, data, tags) -> np.ndarray:
+def _boundary_load(test: Space, data) -> np.ndarray:
     mesh = test.mesh
     s, w = edge_quadrature()
     if test.scalar_kind == P1:
@@ -221,30 +219,18 @@ def _boundary_load(test: Space, data, tags) -> np.ndarray:
         trace = np.stack([(1 - s) * (1 - 2 * s), s * (2 * s - 1), 4 * s * (1 - s)])
 
     out = np.zeros(test.num_dofs)
-    nsc = test.num_scalar_dofs
-    mids = mesh.num_vertices + mesh.boundary_edge_ids
-    for (a, b), tag, mid in zip(mesh.boundary_edges, mesh.boundary_tags, mids):
-        if tag not in tags:
-            continue
-        a, b = int(a), int(b)
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        length = float(np.hypot(*(pb - pa)))
-        x = pa[0] + s * (pb[0] - pa[0])
-        y = pa[1] + s * (pb[1] - pa[1])
-        normal = SIDE_NORMALS[tag]
-        if test.scalar_kind == P1:
-            dofs = np.array([a, b])
-        else:
-            dofs = np.array([a, b, mid])
-        f = data(x, y, normal)
-        if test.components == 1:
-            fe = np.einsum("s,ks,s->k", w, trace, np.broadcast_to(f, x.shape)) * length
-            out[dofs] += fe
-        else:
-            for c in range(2):
-                fc = np.broadcast_to(f[c], x.shape)
-                fe = np.einsum("s,ks,s->k", w, trace, fc) * length
-                out[dofs + c * nsc] += fe
+    edge_dofs = test.boundary_edge_dofs()
+    for tag in NEUMANN_TAGS:
+        dofs = edge_dofs[mesh.boundary_tags == tag]  # end vertices first
+        pa, pb = mesh.vertices[dofs[:, 0]], mesh.vertices[dofs[:, 1]]  # (ne, 2) each
+        length = np.hypot(*(pb - pa).T)
+        x = pa[:, :1] + s * (pb[:, :1] - pa[:, :1])  # (ne, ns)
+        y = pa[:, 1:] + s * (pb[:, 1:] - pa[:, 1:])
+        f = data(x, y, SIDE_NORMALS[tag])
+        components = (f,) if test.components == 1 else (f[0], f[1])
+        for c, fc in enumerate(components):
+            fe = np.einsum("s,ks,es->ek", w, trace, np.broadcast_to(fc, x.shape))
+            np.add.at(out, dofs + c * test.num_scalar_dofs, fe * length[:, None])
     return out
 
 
@@ -281,25 +267,6 @@ def constrain_rhs(columns: sparse.spmatrix, b: np.ndarray, dofs: np.ndarray,
 def dirichlet_columns(A: sparse.spmatrix, dofs: np.ndarray) -> sparse.csc_matrix:
     """Column slice A[:, dofs] used for boundary-value elimination (precomputable)."""
     return sparse.csc_matrix(A)[:, dofs]
-
-
-def dirichlet_values(space: Space, g) -> np.ndarray:
-    """Evaluate a ``g(x, y)`` profile at the constrained nodes.
-
-    Vector data come back as component blocks; ``g=None`` gives zeros.
-    """
-    scalar = space.boundary_scalar_dofs(space.dirichlet_tags)
-    if g is None:
-        return np.zeros(space.components * len(scalar))
-    coords = space.dof_coords()[scalar]
-    out = g(coords[:, 0], coords[:, 1])
-    if space.components == 1:
-        return np.broadcast_to(np.asarray(out, dtype=float), scalar.shape).copy()
-    gx, gy = out
-    return np.concatenate([
-        np.broadcast_to(np.asarray(gx, dtype=float), scalar.shape),
-        np.broadcast_to(np.asarray(gy, dtype=float), scalar.shape),
-    ])
 
 
 def export_matrix(A: sparse.spmatrix, path: str) -> None:

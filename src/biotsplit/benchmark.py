@@ -197,7 +197,7 @@ def homogeneous_loads(case: ManufacturedCase) -> LoadSet:
 def initial_state(sys: DiscreteSystem, case: ManufacturedCase) -> BiotState:
     """Nodal interpolation of the exact fields at t = 0 (xi via its formula)."""
     u0 = interpolate(sys.V, case.u_profile)
-    xi0 = interpolate(sys.W, case.xi_profile)
+    xi0 = interpolate(sys.M, case.xi_profile)
     p0 = interpolate(sys.M, case.p_profile)
     return BiotState(u0, xi0, p0, 0.0)
 

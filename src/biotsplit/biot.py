@@ -31,8 +31,8 @@ import scipy.sparse as sparse
 from .assembly import (BOUNDARY_FLUX, BOUNDARY_TRACTION, DIV_COUPLING, DIV_DIV,
                        ELASTICITY, MASS, P_STIFFNESS, VOLUME_LOAD, PhysParams,
                        assemble_form, assemble_functional, constrain_matrix,
-                       constrain_rhs, dirichlet_columns, dirichlet_values)
-from .fem import P1, P2_VECTOR, FieldVector, Space
+                       constrain_rhs, dirichlet_columns)
+from .fem import P1, P2_VECTOR, FieldVector, Space, interpolate
 from .linalg import Factorization, lu_factor
 from .mesh import DIRICHLET_TAGS, TriMesh
 
@@ -88,6 +88,11 @@ class _ConstrainedSolver:
 class DiscreteSystem:
     """Assembled operators, load profiles, and solver caches for one mesh.
 
+    ``V`` is the P2 vector space of u, ``M`` the one P1 space of xi and p.
+    The system owns the Dirichlet constraints: ``bd_u``/``bd_p`` are the dofs
+    of u and p on the sides ``DIRICHLET_TAGS``, ``gu_profile``/``gp_profile``
+    the nodal interpolants of the boundary profiles there.  xi has none.
+
     Blocks (unit coefficients, scaled on use):
       elasticity  (eps(u), eps(v))     vector x vector
       div_coupling (q, div v)          rows: vector dofs, cols: P1 dofs
@@ -103,17 +108,16 @@ class DiscreteSystem:
         self.params = params
         self.loads = loads
 
-        self.V = Space(mesh, P2_VECTOR, DIRICHLET_TAGS)
-        self.W = Space(mesh, P1)
-        self.M = Space(mesh, P1, DIRICHLET_TAGS)
+        self.V = Space(mesh, P2_VECTOR)
+        self.M = Space(mesh, P1)
 
         self.elasticity = assemble_form(ELASTICITY, self.V, self.V)
-        self.div_coupling = assemble_form(DIV_COUPLING, self.W, self.V)
-        self.mass = assemble_form(MASS, self.W, self.W)
-        self.stiffness = assemble_form(P_STIFFNESS, self.W, self.W)
+        self.div_coupling = assemble_form(DIV_COUPLING, self.M, self.V)
+        self.mass = assemble_form(MASS, self.M, self.M)
+        self.stiffness = assemble_form(P_STIFFNESS, self.M, self.M)
 
-        nv, nw = self.V.num_dofs, self.W.num_dofs
-        self.offsets = (0, nv, nv + nw, nv + nw + self.M.num_dofs)
+        nv, nm = self.V.num_dofs, self.M.num_dofs
+        self.offsets = (0, nv, nv + nm, nv + 2 * nm)
 
         self.fu_profile = np.zeros(nv)
         if loads.volume_force is not None:
@@ -126,10 +130,11 @@ class DiscreteSystem:
         if loads.flux is not None:
             self.fq_profile += assemble_functional(BOUNDARY_FLUX, self.M, loads.flux)
 
-        self.bd_u = self.V.dirichlet_dofs()
-        self.bd_p = self.M.dirichlet_dofs()
-        self.gu_profile = dirichlet_values(self.V, loads.displacement_bc)
-        self.gp_profile = dirichlet_values(self.M, loads.pressure_bc)
+        bd = self.V.boundary_scalar_dofs(DIRICHLET_TAGS)
+        self.bd_u = np.concatenate([bd, bd + self.V.num_scalar_dofs])
+        self.bd_p = self.M.boundary_scalar_dofs(DIRICHLET_TAGS)
+        self.gu_profile = _nodal_values(self.V, loads.displacement_bc, self.bd_u)
+        self.gp_profile = _nodal_values(self.M, loads.pressure_bc, self.bd_p)
 
         self._solvers: dict[str, _ConstrainedSolver] = {}
 
@@ -195,7 +200,7 @@ class DiscreteSystem:
         return self.solver("mass").solve(rhs, np.zeros(0))
 
     def state(self, u_values, xi_values, p_values, t: float) -> BiotState:
-        return BiotState(FieldVector(self.V, u_values), FieldVector(self.W, xi_values),
+        return BiotState(FieldVector(self.V, u_values), FieldVector(self.M, xi_values),
                          FieldVector(self.M, p_values), t)
 
     # -- shared right-hand-side pieces ------------------------------------
@@ -211,6 +216,11 @@ class DiscreteSystem:
         tf = self.loads.time_factor(t)
         return (p.dt * tf * self.fq_profile + c_p * (self.mass @ state.p.values)
                 - c_xi * (self.mass @ state.xi.values))
+
+
+def _nodal_values(space: Space, g, dofs: np.ndarray) -> np.ndarray:
+    """The nodal interpolant of a ``g(x, y)`` profile at ``dofs``; zeros if g is None."""
+    return np.zeros(len(dofs)) if g is None else interpolate(space, g).values[dofs]
 
 
 def build_system(mesh: TriMesh, params: PhysParams, loads: LoadSet) -> DiscreteSystem:

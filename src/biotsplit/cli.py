@@ -71,7 +71,8 @@ def _parse_file(path: str) -> dict:
     """Flat key=value config file; '#' starts a comment; unknown keys rejected."""
     values = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
@@ -140,8 +141,7 @@ def parse_config(argv) -> RunConfig:
         value = getattr(ns, key)
         if value is not None:
             setattr(config, key, value)
-    if ns.checks:
-        config.checks = tuple(dict.fromkeys((*config.checks, *ns.checks)))
+    config.checks = tuple(dict.fromkeys((*config.checks, *(ns.checks or ()))))
     for check in config.checks:
         if check not in CHECK_NAMES:
             raise ConfigError(f"unknown check {check!r} (have {CHECK_NAMES})")

@@ -105,18 +105,15 @@ def eval_basis(kind: str, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Space:
-    """A finite-element space over a mesh, with optional Dirichlet sides."""
+    """A finite-element space over a mesh, without boundary conditions (the Dirichlet
+    and Neumann sides are ``mesh.DIRICHLET_TAGS`` and ``mesh.NEUMANN_TAGS``)."""
 
     mesh: TriMesh
     kind: str
-    dirichlet_tags: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
-        for tag in self.dirichlet_tags:
-            if tag not in (1, 2, 3, 4):
-                raise ValueError(f"unknown boundary tag {tag}")
 
     @property
     def scalar_kind(self) -> str:
@@ -155,24 +152,17 @@ class Space:
         mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
         return np.vstack([mesh.vertices, mids])
 
+    def boundary_edge_dofs(self) -> np.ndarray:
+        """(nb, 2) or (nb, 3) scalar dofs of each boundary edge: its two end
+        vertices, then its midpoint for P2."""
+        mesh = self.mesh
+        if self.scalar_kind == P1:
+            return mesh.boundary_edges
+        return np.column_stack([mesh.boundary_edges, mesh.num_vertices + mesh.boundary_edge_ids])
+
     def boundary_scalar_dofs(self, tags) -> np.ndarray:
         """Sorted scalar dofs whose nodes lie on boundary edges with the given tags."""
-        mesh = self.mesh
-        on = np.isin(mesh.boundary_tags, tags)
-        dofs = [mesh.boundary_edges[on].ravel()]
-        if self.scalar_kind == P2:
-            dofs.append(mesh.num_vertices + mesh.boundary_edge_ids[on])
-        return np.unique(np.concatenate(dofs))
-
-    def dirichlet_dofs(self) -> np.ndarray:
-        """Constrained dof indices (all components) for this space's Dirichlet sides."""
-        if not self.dirichlet_tags:
-            return np.array([], dtype=np.int64)
-        scalar = self.boundary_scalar_dofs(self.dirichlet_tags)
-        if self.components == 1:
-            return scalar
-        n = self.num_scalar_dofs
-        return np.concatenate([scalar + c * n for c in range(self.components)])
+        return np.unique(self.boundary_edge_dofs()[np.isin(self.mesh.boundary_tags, tags)])
 
 
 def affine_maps(mesh: TriMesh):

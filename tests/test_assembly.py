@@ -23,13 +23,12 @@ from biotsplit.assembly import (
     constrain_matrix,
     constrain_rhs,
     dirichlet_columns,
-    dirichlet_values,
     export_matrix,
 )
 from biotsplit.benchmark import compute_errors, make_case
 from biotsplit.biot import BiotState
 from biotsplit.fem import Space, affine_maps, eval_basis, interpolate, quadrature
-from biotsplit.mesh import BOTTOM, TOP, TriMesh, build_uniform
+from biotsplit.mesh import DIRICHLET_TAGS, NEUMANN_TAGS, TriMesh, build_uniform
 
 
 def unit_triangle():
@@ -201,16 +200,22 @@ def test_boundary_flux_constant_sums_to_side_length():
     mesh = build_uniform(5)
     for kind in ("p1", "p2"):
         space = Space(mesh, kind)
-        F = assemble_functional(BOUNDARY_FLUX, space,
-                                lambda x, y, n: np.ones_like(x), tags=(BOTTOM,))
-        assert F.sum() == pytest.approx(1.0, abs=1e-14)
+        bottom = assemble_functional(BOUNDARY_FLUX, space,
+                                     lambda x, y, n: np.full(x.shape, float(n[1] < 0)))
+        assert bottom.sum() == pytest.approx(1.0, abs=1e-14)
+        # both Neumann sides, bottom and top
+        F = assemble_functional(BOUNDARY_FLUX, space, lambda x, y, n: np.ones_like(x))
+        assert F.sum() == pytest.approx(2.0, abs=1e-14)
+        dirichlet_only = np.setdiff1d(space.boundary_scalar_dofs(DIRICHLET_TAGS),
+                                      space.boundary_scalar_dofs(NEUMANN_TAGS))
+        assert dirichlet_only.size > 0
+        assert not F[dirichlet_only].any()
 
 
 def test_boundary_flux_pairs_exactly():
     mesh = build_uniform(4)
     space = Space(mesh, "p2")
-    F = assemble_functional(BOUNDARY_FLUX, space, lambda x, y, n: x * x,
-                            tags=(BOTTOM,))
+    F = assemble_functional(BOUNDARY_FLUX, space, lambda x, y, n: x * x * (n[1] < 0))
     q = interpolate(space, lambda x, y: x).values
     # int over the bottom side of x^2 * x
     assert F @ q == pytest.approx(0.25, abs=1e-14)
@@ -223,13 +228,13 @@ def test_boundary_traction_pairs_exactly():
 
     def data(x, y, normal):
         seen.append(tuple(normal))
-        return np.zeros_like(x), x
+        return np.zeros_like(x), x * (normal[1] > 0)
 
-    F = assemble_functional(BOUNDARY_TRACTION, space, data, tags=(TOP,))
+    F = assemble_functional(BOUNDARY_TRACTION, space, data)
     u = interpolate(space, lambda x, y: (y, x * x)).values
     # int over the top side of x * x^2
     assert F @ u == pytest.approx(0.25, abs=1e-14)
-    assert set(seen) == {(0.0, 1.0)}  # outward normal of y = 1
+    assert set(seen) == {(0.0, -1.0), (0.0, 1.0)}  # outward normals of y = 0, y = 1
 
 
 def test_functional_validation():
@@ -242,8 +247,6 @@ def test_functional_validation():
         assemble_functional(BOUNDARY_TRACTION, p1, lambda x, y, n: (x, y))
     with pytest.raises(ValueError):
         assemble_functional(BOUNDARY_FLUX, vec, lambda x, y, n: x)
-    with pytest.raises(ValueError):
-        assemble_functional(BOUNDARY_FLUX, p1, lambda x, y, n: x, tags=(7,))
 
 
 def test_constrain_matrix_pins_and_stays_symmetric():
@@ -260,23 +263,14 @@ def test_constrain_matrix_pins_and_stays_symmetric():
 def test_apply_dirichlet_reproduces_linear_solution():
     # Laplace with u = x on the vertical sides and natural top/bottom: u = x
     mesh = build_uniform(4)
-    space = Space(mesh, "p2", dirichlet_tags=(1, 3))
+    space = Space(mesh, "p2")
     K = assemble_form(P_STIFFNESS, space, space)
-    dofs = space.dirichlet_dofs()
+    dofs = space.boundary_scalar_dofs((1, 3))
     A = constrain_matrix(K, dofs)
     b = constrain_rhs(dirichlet_columns(K, dofs), np.zeros(space.num_dofs), dofs,
-                      dirichlet_values(space, lambda x, y: x))
+                      interpolate(space, lambda x, y: x).values[dofs])
     u = spla.spsolve(A.tocsc(), b)
     np.testing.assert_allclose(u, space.dof_coords()[:, 0], atol=1e-12)
-
-
-def test_dirichlet_values_vector_layout():
-    mesh = build_uniform(3)
-    space = Space(mesh, "p2-vector", dirichlet_tags=(1,))
-    vals = dirichlet_values(space, lambda x, y: (x + y * 2.0, y))
-    coords = space.dof_coords()[space.boundary_scalar_dofs((1,))]
-    expect = np.concatenate([coords[:, 0] + 2.0 * coords[:, 1], coords[:, 1]])
-    np.testing.assert_allclose(vals, expect, atol=1e-15)
 
 
 def test_phys_params_lame_constants():

@@ -67,7 +67,7 @@ def test_presets_resolve_to_expected_params():
 def test_initial_state_is_nodal_interpolation(small_system, nu03_case):
     state = initial_state(small_system, nu03_case)
     assert state.t == 0.0
-    coords = small_system.W.dof_coords()
+    coords = small_system.M.dof_coords()
     np.testing.assert_allclose(state.xi.values,
                                nu03_case.xi_profile(coords[:, 0], coords[:, 1]),
                                atol=1e-14)

@@ -22,7 +22,7 @@ from biotsplit.mesh import build_uniform
 
 
 def zero_state(system):
-    return system.state(np.zeros(system.V.num_dofs), np.zeros(system.W.num_dofs),
+    return system.state(np.zeros(system.V.num_dofs), np.zeros(system.M.num_dofs),
                         np.zeros(system.M.num_dofs), 0.0)
 
 
@@ -141,8 +141,22 @@ def test_projected_total_pressure_satisfies_constraint(small_system, nu03_case):
                 + params.lam * (small_system.div_coupling.T @ u))
     assert np.abs(residual).max() < 1e-12
     # and it approximates the closed-form total pressure
-    xi_exact = interpolate(small_system.W, nu03_case.xi_profile).values
+    xi_exact = interpolate(small_system.M, nu03_case.xi_profile).values
     assert small_system.l2_p1(xi - xi_exact) < 0.1
+
+
+def test_dirichlet_data_is_the_nodal_interpolant(small_system, nu03_case):
+    coords = small_system.V.dof_coords()
+    scalar = small_system.bd_u[:small_system.bd_u.size // 2]
+    ux, uy = nu03_case.u_profile(coords[scalar, 0], coords[scalar, 1])
+    np.testing.assert_allclose(small_system.gu_profile, np.concatenate([ux, uy]),
+                               rtol=1e-15, atol=1e-15)
+    pc = small_system.M.dof_coords()[small_system.bd_p]
+    np.testing.assert_allclose(small_system.gp_profile, nu03_case.p_profile(pc[:, 0], pc[:, 1]),
+                               rtol=1e-15, atol=1e-15)
+    bare = build_system(small_system.mesh, small_system.params, LoadSet())
+    np.testing.assert_array_equal(bare.gu_profile, np.zeros(bare.bd_u.size))
+    np.testing.assert_array_equal(bare.gp_profile, np.zeros(bare.bd_p.size))
 
 
 def test_solver_residuals_are_tracked(small_system, small_initial):

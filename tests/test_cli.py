@@ -43,6 +43,8 @@ def test_checks_merge_without_duplicates(tmp_path):
                            "--check", "energy"])
     assert config.checks == ("korn", "energy")
     assert set(config.checks) <= set(CHECK_NAMES)
+    cfg.write_text("check = rates, rates\n")
+    assert parse_config(["--config", str(cfg)]).checks == ("rates",)
 
 
 def test_unknown_config_key_reports_file_and_line(tmp_path):

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from biotsplit.assembly import PhysParams
+from biotsplit.biot import LoadSet, build_system
 from biotsplit.fem import (
     FieldVector,
     Space,
@@ -18,7 +20,7 @@ from biotsplit.fem import (
     interpolate,
     quadrature,
 )
-from biotsplit.mesh import build_uniform
+from biotsplit.mesh import DIRICHLET_TAGS, build_uniform, refine
 
 
 def tri_monomial(a, b):
@@ -138,8 +140,6 @@ def test_space_rejects_bad_inputs():
     mesh = build_uniform(2)
     with pytest.raises(ValueError):
         Space(mesh, "p7")
-    with pytest.raises(ValueError):
-        Space(mesh, "p2", dirichlet_tags=(5,))
 
 
 def test_p2_cell_dofs_layout():
@@ -171,14 +171,30 @@ def test_boundary_scalar_dofs_count():
     assert Space(mesh, "p2").boundary_scalar_dofs((1, 3)).size == 2 * (2 * n + 1)
 
 
-def test_vector_dirichlet_dofs_cover_both_components():
-    mesh = build_uniform(3)
-    space = Space(mesh, "p2-vector", dirichlet_tags=(1, 3))
-    dofs = space.dirichlet_dofs()
-    n = space.num_scalar_dofs
-    scalar = Space(mesh, "p2").boundary_scalar_dofs((1, 3))
-    np.testing.assert_array_equal(np.sort(dofs), np.sort(
-        np.concatenate([scalar, scalar + n])))
+def test_boundary_scalar_dofs_are_the_edge_map_entries():
+    mesh = refine(build_uniform(3))
+    for kind in ("p1", "p2"):
+        space = Space(mesh, kind)
+        coords = space.dof_coords()
+        edge_dofs = space.boundary_edge_dofs()
+        np.testing.assert_array_equal(edge_dofs[:, :2], mesh.boundary_edges)
+        if kind == "p2":
+            np.testing.assert_allclose(coords[edge_dofs[:, 2]],
+                                       coords[edge_dofs[:, :2]].mean(axis=1), atol=1e-15)
+        for tags in ((1,), (1, 3), (2, 4)):
+            on = np.isin(mesh.boundary_tags, tags)
+            np.testing.assert_array_equal(space.boundary_scalar_dofs(tags),
+                                          np.unique(edge_dofs[on]))
+        # the Dirichlet sides x = 0 and x = 1 hold exactly these nodes
+        on_sides = np.flatnonzero((coords[:, 0] == 0.0) | (coords[:, 0] == 1.0))
+        np.testing.assert_array_equal(space.boundary_scalar_dofs(DIRICHLET_TAGS), on_sides)
+
+    system = build_system(mesh, PhysParams(), LoadSet())
+    scalar = Space(mesh, "p2").boundary_scalar_dofs(DIRICHLET_TAGS)
+    np.testing.assert_array_equal(
+        system.bd_u, np.concatenate([scalar, scalar + system.V.num_scalar_dofs]))
+    np.testing.assert_array_equal(system.bd_p,
+                                  Space(mesh, "p1").boundary_scalar_dofs(DIRICHLET_TAGS))
 
 
 def test_interpolate_scalar_exact_for_quadratic():
