@@ -34,7 +34,7 @@ from .assembly import (BOUNDARY_FLUX, BOUNDARY_TRACTION, DIV_COUPLING, DIV_DIV,
                        constrain_rhs, dirichlet_columns)
 from .fem import P1, P2_VECTOR, FieldVector, Space, interpolate
 from .linalg import Factorization, lu_factor
-from .mesh import DIRICHLET_TAGS, TriMesh
+from .mesh import DIRICHLET_TAGS, TriMesh, dissection_keys
 
 
 def _static_time_factor(t: float) -> float:
@@ -70,13 +70,14 @@ class BiotState:
 
 
 class _ConstrainedSolver:
-    """One block system: raw matrix, Dirichlet dofs, reusable factorization."""
+    """One block system: raw matrix, Dirichlet dofs, reusable factorization
+    in the symmetric order ``order``."""
 
-    def __init__(self, matrix: sparse.csr_matrix, dofs: np.ndarray):
+    def __init__(self, matrix: sparse.csr_matrix, dofs: np.ndarray, order: np.ndarray):
         self.dofs = dofs
         self.matrix = constrain_matrix(matrix, dofs)
         self._bc_cols = dirichlet_columns(matrix, dofs)
-        self.fact: Factorization = lu_factor(self.matrix)
+        self.fact: Factorization = lu_factor(self.matrix, order)
 
     def constrain(self, b_raw: np.ndarray, bc_values: np.ndarray) -> np.ndarray:
         return constrain_rhs(self._bc_cols, b_raw, self.dofs, bc_values)
@@ -100,7 +101,8 @@ class DiscreteSystem:
       stiffness   (grad p, grad q)     P1 x P1
 
     Solvers are factored on first use, one per block system (see
-    ``solver``); every solve enters ``max_solver_residual``.
+    ``solver``), in the nested-dissection order of ``dissection_keys``;
+    every solve enters ``max_solver_residual``.
     """
 
     def __init__(self, mesh: TriMesh, params: PhysParams, loads: LoadSet):
@@ -136,6 +138,7 @@ class DiscreteSystem:
         self.gu_profile = _nodal_values(self.V, loads.displacement_bc, self.bd_u)
         self.gp_profile = _nodal_values(self.M, loads.pressure_bc, self.bd_p)
 
+        self._keys = dissection_keys(mesh, self.V.dof_coords())
         self._solvers: dict[str, _ConstrainedSolver] = {}
 
     # -- block systems ------------------------------------------------------
@@ -167,10 +170,19 @@ class DiscreteSystem:
             return self.mass.tocsr(), np.array([], dtype=np.int64)
         raise ValueError(f"unknown block system {name!r}")
 
+    def _order(self, name: str) -> np.ndarray:
+        """Nested-dissection order of one block system: its rows (u_x, u_y,
+        then xi, then p) sorted by the keys of their nodes.  The P1 nodes
+        are the P2 vertices, so their keys are the vertex prefix."""
+        kv, km = self._keys, self._keys[:self.mesh.num_vertices]
+        rows = {"coupled": (kv, kv, km, km), "stokes": (kv, kv, km),
+                "pressure": (km,), "mass": (km,)}[name]
+        return np.argsort(np.concatenate(rows), kind="stable")
+
     def solver(self, name: str) -> _ConstrainedSolver:
         """The factored ``coupled``, ``stokes``, ``pressure`` or ``mass`` system."""
         if name not in self._solvers:
-            self._solvers[name] = _ConstrainedSolver(*self._block(name))
+            self._solvers[name] = _ConstrainedSolver(*self._block(name), self._order(name))
         return self._solvers[name]
 
     # -- norms and diagnostics --------------------------------------------

@@ -1,4 +1,11 @@
-"""Sparse direct factorization with per-solve residual tracking.
+"""Sparse direct factorization in a given symmetric order, with per-solve
+residual tracking.
+
+The caller supplies the order (``biot`` numbers every block system by nested
+dissection of its mesh).  SuperLU keeps it because the pivots stay on the
+diagonal: the block systems are symmetric quasi-definite or SPD, and those
+factor stably with diagonal pivots in any symmetric order (Vanderbei, SIAM J.
+Optim. 5, 1995).
 
 Every solve records its relative residual ``||Ax - b|| / ||b||`` so a run can
 prove after the fact that no linear system was solved sloppily; the benchmark
@@ -10,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class SingularMatrixError(RuntimeError):
@@ -45,23 +51,23 @@ class Factorization:
         return x
 
 
-def lu_factor(A: sparse.spmatrix) -> Factorization:
-    """Factor a square sparse matrix with SuperLU in a symmetric fill-reducing order.
+def lu_factor(A: sparse.spmatrix, order: np.ndarray) -> Factorization:
+    """Factor a square sparse matrix with SuperLU in the symmetric order ``order``.
 
-    The unknowns are first numbered by reverse Cuthill-McKee on the pattern of
-    A + A^T; SuperLU then factors the renumbered matrix in the minimum-degree
-    order of A + A^T (``MMD_AT_PLUS_A``), applied to rows and columns alike.
-    A diagonal entry is taken as the pivot unless it is smaller than 1e-3
-    times the largest entry of its column, in which case SuperLU pivots off
-    the diagonal, so the factorization stays a general LU.  Every system this
-    library builds is symmetric quasi-definite or SPD and factors with
-    (nearly) all pivots on the diagonal, which keeps the fill of the
-    symmetric order.  Both steps are deterministic.  MMD on the mesh
-    numbering alone needs several GB at 1/h = 128; after the RCM numbering
-    it does not.
+    ``order`` is a permutation of ``0..n-1``; row and column ``order[k]`` of A
+    become the k-th of the factored matrix, and SuperLU keeps that order
+    (``NATURAL``, ``SymmetricMode``).  A diagonal entry is taken as the pivot
+    unless it is smaller than 1e-3 times the largest entry of its column, in
+    which case SuperLU pivots off the diagonal, so the factorization stays a
+    general LU.  Every system this library builds is symmetric quasi-definite
+    or SPD, and such a matrix factors with diagonal pivots in any symmetric
+    order (Vanderbei, SIAM J. Optim. 5, 1995), so the fill is the fill of the
+    order.  The residual of every solve is taken against A itself.
 
     Raises
     ------
+    ValueError
+        If A is not square or ``order`` is not a permutation of its rows.
     SingularMatrixError
         If the matrix is structurally or numerically singular; structurally
         empty rows/columns are named explicitly.
@@ -75,6 +81,10 @@ def lu_factor(A: sparse.spmatrix) -> Factorization:
     n, m = A.shape
     if n != m:
         raise ValueError(f"matrix must be square, got {n}x{m}")
+    order = np.asarray(order)
+    if (order.shape != (n,) or not np.issubdtype(order.dtype, np.integer)
+            or not np.array_equal(np.sort(order), np.arange(n))):
+        raise ValueError(f"order must be a permutation of 0..{n - 1}")
     row_counts = np.diff(A.indptr)
     if np.any(row_counts == 0):
         row = int(np.argmin(row_counts))
@@ -83,10 +93,9 @@ def lu_factor(A: sparse.spmatrix) -> Factorization:
     if np.any(col_counts == 0):
         col = int(np.argmin(col_counts))
         raise SingularMatrixError(f"matrix is structurally singular: column {col} is empty")
-    perm = reverse_cuthill_mckee(abs(A) + abs(A.T), symmetric_mode=True)
     what = f"sparse LU of a {n}x{n} matrix with {A.nnz} nonzeros"
     try:
-        lu = spla.splu(A[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
                        diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True))
     except SystemError as exc:
         raise RuntimeError(f"{what} failed: {exc} (SuperLU may have run out of memory)") from exc
@@ -94,5 +103,5 @@ def lu_factor(A: sparse.spmatrix) -> Factorization:
         if any(key in str(exc) for key in _OUT_OF_MEMORY):
             raise MemoryError(f"{what} ran out of memory: {exc}") from exc
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-    return Factorization(A, lu, perm)
+    return Factorization(A, lu, order)
 

@@ -25,8 +25,8 @@ from biotsplit.assembly import (
     dirichlet_columns,
     export_matrix,
 )
-from biotsplit.benchmark import compute_errors, make_case
-from biotsplit.biot import BiotState
+from biotsplit.benchmark import benchmark_loads, compute_errors, make_case
+from biotsplit.biot import BiotState, build_system
 from biotsplit.fem import Space, affine_maps, eval_basis, interpolate, quadrature
 from biotsplit.mesh import DIRICHLET_TAGS, NEUMANN_TAGS, TriMesh, build_uniform
 
@@ -443,3 +443,15 @@ def test_errors_match_pointwise_loop_on_distorted_mesh(distorted):
                         (inv_t[tri] @ (coeff @ grads[:, q, :]) - gradient[c]) ** 2)
         expect += [np.sqrt(l2sq), np.sqrt(l2sq + h1sq)]
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", ["coupled", "stokes", "pressure", "mass"])
+def test_block_orders_factor_on_distorted_mesh(distorted, name):
+    # off the grid the keys still order every row once, and the factor solves
+    case = make_case("nu03")
+    system = build_system(distorted, case.params, benchmark_loads(case))
+    order = system._order(name)
+    assert np.array_equal(np.sort(order), np.arange(system._block(name)[0].shape[0]))
+    solver = system.solver(name)
+    solver.fact.solve(np.ones(len(order)))
+    assert solver.fact.max_rel_residual < 1e-11

@@ -132,7 +132,7 @@ def test_run_study_validation(nu03_case):
 
 
 def test_run_study_names_failing_level(nu03_case, monkeypatch):
-    def failing_factor(A):
+    def failing_factor(A, order):
         raise SingularMatrixError("forced")
 
     monkeypatch.setattr(biot, "lu_factor", failing_factor)

@@ -9,7 +9,7 @@ from biotsplit.assembly import constrain_matrix
 from biotsplit.benchmark import benchmark_loads, make_case, run_study
 from biotsplit.biot import build_system
 from biotsplit.linalg import SingularMatrixError, lu_factor
-from biotsplit.mesh import build_uniform
+from biotsplit.mesh import TriMesh, build_uniform, dissection_keys, refine
 
 
 def random_spd(n, rng):
@@ -18,21 +18,21 @@ def random_spd(n, rng):
 
 
 def test_lu_identity():
-    fact = lu_factor(sparse.eye(5, format="csr"))
+    fact = lu_factor(sparse.eye(5, format="csr"), np.arange(5))
     b = np.arange(5.0)
     np.testing.assert_allclose(fact.solve(b), b, atol=1e-15)
 
 
 def test_lu_two_by_two():
     A = sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x = lu_factor(A).solve(np.array([3.0, 3.0]))
+    x = lu_factor(A, np.arange(2)).solve(np.array([3.0, 3.0]))
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
 
 def test_lu_random_spd_residual(rng):
     A = random_spd(40, rng)
     b = rng.standard_normal(40)
-    fact = lu_factor(A)
+    fact = lu_factor(A, rng.permutation(40))
     x = fact.solve(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-11
     assert fact.num_solves == 1
@@ -41,35 +41,48 @@ def test_lu_random_spd_residual(rng):
 
 def test_lu_rejects_nonsquare():
     with pytest.raises(ValueError):
-        lu_factor(sparse.csr_matrix(np.ones((2, 3))))
+        lu_factor(sparse.csr_matrix(np.ones((2, 3))), np.arange(2))
+
+
+@pytest.mark.parametrize("order", [
+    [0, 1, 2],            # too short
+    [0, 1, 2, 3, 3],      # too long
+    [0, 1, 2, 2],         # a duplicate
+    [0, 1, 2, 4],         # out of range
+    [-1, 0, 1, 2],        # negative
+    [0.0, 1.0, 2.0, 3.0],  # not integers
+], ids=["short", "long", "duplicate", "out-of-range", "negative", "float"])
+def test_lu_rejects_an_order_that_is_not_a_permutation(order, rng):
+    with pytest.raises(ValueError, match="permutation of 0..3"):
+        lu_factor(random_spd(4, rng), np.array(order))
 
 
 def test_lu_names_empty_row_and_column():
     A = np.eye(4)
     A[2, 2] = 0.0
     with pytest.raises(SingularMatrixError, match="row 2"):
-        lu_factor(sparse.csr_matrix(A))
+        lu_factor(sparse.csr_matrix(A), np.arange(4))
     B = np.zeros((3, 3))
     B[0, 0] = B[1, 1] = 1.0
     B[0, 2] = 1.0  # row 2 empty stays reported first; make column 2 nonempty
     with pytest.raises(SingularMatrixError, match="row 2"):
-        lu_factor(sparse.csr_matrix(B))
+        lu_factor(sparse.csr_matrix(B), np.arange(3))
     C = np.zeros((3, 3))
     C[0, 0] = C[1, 1] = 1.0
     C[2, 0] = 1.0  # rows all nonempty, column 2 empty
     with pytest.raises(SingularMatrixError, match="column 2"):
-        lu_factor(sparse.csr_matrix(C))
+        lu_factor(sparse.csr_matrix(C), np.arange(3))
 
 
 def test_lu_numerically_singular():
     # structurally full but rank-deficient
     A = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
-        lu_factor(A)
+        lu_factor(A, np.arange(2))
 
 
 def test_nan_residual_sticks_in_the_log(rng):
-    fact = lu_factor(random_spd(6, rng))
+    fact = lu_factor(random_spd(6, rng), np.arange(6))
     fact.solve(rng.standard_normal(6))
     b = rng.standard_normal(6)
     b[2] = np.nan
@@ -102,7 +115,7 @@ def test_lu_solves_matrices_with_zero_diagonal(make, rng):
     A = make(rng)
     assert np.count_nonzero(A.diagonal()) < A.shape[0] // 2
     b = rng.standard_normal(A.shape[0])
-    fact = lu_factor(A)
+    fact = lu_factor(A, np.arange(A.shape[0]))
     fact.solve(b)
     assert fact.max_rel_residual < 1e-12
 
@@ -122,7 +135,7 @@ def test_lu_fill_is_below_colamd(systems_32, name, bound):
     # the symmetric order keeps its fill only with diagonal pivots; a pivot
     # threshold of 1e-2 already leaves the diagonal on nu0499 and loses it
     A = constrain_matrix(*systems_32._block(name))
-    fact = lu_factor(A)
+    fact = lu_factor(A, systems_32._order(name))
     colamd = spla.splu(A.tocsc(), permc_spec="COLAMD")
     assert _fill(fact._lu) <= bound * _fill(colamd)
     b = np.ones(A.shape[0])
@@ -130,9 +143,76 @@ def test_lu_fill_is_below_colamd(systems_32, name, bound):
     assert fact.max_rel_residual < 1e-11
 
 
+def test_coupled_fill_at_64_is_below_the_minimum_degree_fill():
+    # a minimum-degree order (MMD on A + A^T after an RCM numbering) fills
+    # this matrix with 13.38M nnz; nested dissection on grid lines with 8.41M
+    case = make_case("nu03")
+    system = build_system(refine(refine(build_uniform(16))), case.params,
+                          benchmark_loads(case))
+    A = constrain_matrix(*system._block("coupled"))
+    fact = lu_factor(A, system._order("coupled"))
+    assert _fill(fact._lu) <= 0.8 * 13.38e6
+    fact.solve(np.ones(A.shape[0]))
+    assert fact.max_rel_residual < 1e-11
+
+
+def _digits(keys):
+    """Base-3 digits of each key, most significant first: (len(keys), ndigits)."""
+    ndigits = len(np.base_repr(int(keys.max()), 3))
+    return keys[:, None] // 3 ** np.arange(ndigits - 1, -1, -1) % 3
+
+
+def _cut_crossings(pattern, keys):
+    """Nonzeros (i, j) whose keys part at a cut with one side each (digits 0 and 1)."""
+    rows, cols = pattern.nonzero()
+    digits = _digits(keys)
+    di, dj = digits[rows], digits[cols]
+    differ = di != dj
+    first = np.argmax(differ, axis=1)
+    a, b = di[np.arange(len(rows)), first], dj[np.arange(len(rows)), first]
+    return int(np.count_nonzero(differ.any(axis=1) & (a + b == 1)))
+
+
+@pytest.fixture(scope="module")
+def small_case_8():
+    case = make_case("nu03")
+    mesh = build_uniform(8)
+    return mesh, build_system(mesh, case.params, benchmark_loads(case))
+
+
+def test_grid_line_cuts_separate_the_coupled_system(small_case_8):
+    mesh, system = small_case_8
+    nv = mesh.num_vertices
+    kv = dissection_keys(mesh, system.V.dof_coords())
+    keys = np.concatenate([kv, kv, kv[:nv], kv[:nv]])
+    pattern = system._block("coupled")[0]
+    assert _cut_crossings(pattern, keys) == 0
+    assert np.array_equal(np.argsort(keys, kind="stable"), system._order("coupled"))
+    # one more node half a step left of the square moves every cut onto the
+    # half-grid lines through edge midpoints, which triangles cross
+    shifted = np.vstack([system.V.dof_coords(), [[-1 / 16, 0.0]]])
+    kv = dissection_keys(mesh, shifted)[:-1]
+    keys = np.concatenate([kv, kv, kv[:nv], kv[:nv]])
+    assert _cut_crossings(pattern, keys) > 0
+
+
+def test_dissection_keys_keep_their_order_past_int64():
+    # a 1e-12 edge gives about 80 levels of cuts: 3**80 does not fit in int64
+    tiny = TriMesh(np.array([[0.0, 0.0], [1e-12, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]),
+                   np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    points = build_uniform(8).vertices
+    order = np.argsort(dissection_keys(tiny, points), kind="stable")
+    # the first cut is y = 1/2: nodes below it, then above it, then on it
+    y = points[order, 1]
+    below, above = np.count_nonzero(y < 0.5), np.count_nonzero(y > 0.5)
+    assert np.all(y[:below] < 0.5)
+    assert np.all(y[below:below + above] > 0.5)
+    assert np.all(y[below + above:] == 0.5)
+
+
 def test_factorization_reuse_is_bit_identical(rng):
     A = random_spd(30, rng)
-    fact = lu_factor(A)
+    fact = lu_factor(A, np.arange(30))
     b = rng.standard_normal(30)
     x1 = fact.solve(b)
     x2 = fact.solve(b)
@@ -155,7 +235,7 @@ def test_lu_reports_superlu_out_of_memory(monkeypatch, rng, message):
     A = random_spd(12, rng)
     with pytest.raises(MemoryError,
                        match="12x12 matrix with 144 nonzeros ran out of memory") as info:
-        lu_factor(A)
+        lu_factor(A, np.arange(12))
     assert message in str(info.value)
     assert not isinstance(info.value, SingularMatrixError)
 
@@ -165,7 +245,7 @@ def test_lu_wraps_superlu_system_error(monkeypatch, rng):
     exc = SystemError("gstrf was called with invalid arguments")
     monkeypatch.setattr(linalg.spla, "splu", _splu_raising(exc))
     with pytest.raises(RuntimeError, match="may have run out of memory") as info:
-        lu_factor(random_spd(12, rng))
+        lu_factor(random_spd(12, rng), np.arange(12))
     assert "12x12" in str(info.value) and "gstrf" in str(info.value)
     assert not isinstance(info.value, SingularMatrixError)
 
@@ -174,7 +254,7 @@ def test_lu_exactly_singular_stays_singular(monkeypatch, rng):
     exc = RuntimeError("Factor is exactly singular")
     monkeypatch.setattr(linalg.spla, "splu", _splu_raising(exc))
     with pytest.raises(SingularMatrixError, match="Factor is exactly singular"):
-        lu_factor(random_spd(12, rng))
+        lu_factor(random_spd(12, rng), np.arange(12))
 
 
 def test_run_study_names_out_of_memory(monkeypatch):
