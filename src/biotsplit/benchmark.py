@@ -144,36 +144,6 @@ class ManufacturedCase:
         gp = self.grad_p_profile(x, y)
         return self.params.K * (gp[0] * normal[0] + gp[1] * normal[1])
 
-    # -- strong-form residuals (transcription guard) --------------------------
-
-    def strong_form_residual(self, x, y, t):
-        """Pointwise residuals of the momentum and mass-balance equations.
-
-        Returns (r_mom1, r_mom2, r_mass); all should vanish identically for
-        the closed-form fields, so any nonzero value beyond roundoff flags a
-        transcription error in the formulas above.
-        """
-        p = self.params
-        ml = p.mu + p.lam
-        tf = self.time_factor(t)
-        S = np.sin(PI * x) * np.sin(PI * y)
-        CC = np.cos(PI * x) * np.cos(PI * y)
-        # div(eps(u)) from the analytic second derivatives
-        dive1 = (-2 * PI ** 2 * np.sin(2 * PI * y) * (2 * np.cos(2 * PI * x) - 1.0)
-                 - 1.5 * PI ** 2 * S / ml + 0.5 * PI ** 2 * CC / ml)
-        dive2 = (-2 * PI ** 2 * np.sin(2 * PI * x) * (1.0 - 2 * np.cos(2 * PI * y))
-                 - 1.5 * PI ** 2 * S / ml + 0.5 * PI ** 2 * CC / ml)
-        gxi = self.grad_xi_profile(x, y)
-        f = self.volume_force_profile(x, y)
-        r_mom1 = tf * (-2 * p.mu * dive1 + gxi[0] - f[0])
-        r_mom2 = tf * (-2 * p.mu * dive2 + gxi[1] - f[1])
-        # d/dt (c0 p + alpha div u) - K lap(p) - Q_s
-        lap_p = -2 * PI ** 2 * S
-        r_mass = tf * (-(p.c0 * self.p_profile(x, y)
-                         + p.alpha * self.div_u_profile(x, y))
-                       - p.K * lap_p - self.mass_source_profile(x, y))
-        return r_mom1, r_mom2, r_mass
-
 
 def benchmark_loads(case: ManufacturedCase) -> LoadSet:
     """Full manufactured data set: loads, Neumann data, Dirichlet profiles."""

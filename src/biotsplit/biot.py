@@ -17,10 +17,15 @@ pressure rows multiplied by -1) so row/column Dirichlet elimination keeps
 them symmetric.  All coefficient blocks are time-independent, so each
 algorithm factors its matrix once and reuses it for every step/iteration;
 loads and boundary data are separable profiles scaled by a time factor.
+The parameter-free part of a system (spaces, unit forms, Dirichlet dofs,
+block orders) is built once per mesh and shared by every system on an equal
+mesh; factors are not shared.
 """
 from __future__ import annotations
 
+import copy
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Optional
@@ -79,49 +84,102 @@ class _ConstrainedSolver:
         self._bc_cols = dirichlet_columns(matrix, dofs)
         self.fact: Factorization = lu_factor(self.matrix, order)
 
-    def constrain(self, b_raw: np.ndarray, bc_values: np.ndarray) -> np.ndarray:
-        return constrain_rhs(self._bc_cols, b_raw, self.dofs, bc_values)
-
     def solve(self, b_raw: np.ndarray, bc_values: np.ndarray) -> np.ndarray:
-        return self.fact.solve(self.constrain(b_raw, bc_values))
+        return self.fact.solve(constrain_rhs(self._bc_cols, b_raw, self.dofs, bc_values))
 
 
-class DiscreteSystem:
-    """Assembled operators, load profiles, and solver caches for one mesh.
+class Discretization:
+    """The parameter-free part of every system on one mesh.
 
-    ``V`` is the P2 vector space of u, ``M`` the one P1 space of xi and p.
-    The system owns the Dirichlet constraints: ``bd_u``/``bd_p`` are the dofs
-    of u and p on the sides ``DIRICHLET_TAGS``, ``gu_profile``/``gp_profile``
-    the nodal interpolants of the boundary profiles there.  xi has none.
+    ``mesh`` is a private copy of the mesh; ``V`` is the P2 vector space of
+    u, ``M`` the one P1 space of xi and p; ``bd_u``/``bd_p`` are the dofs of
+    u and p on the sides ``DIRICHLET_TAGS`` (xi has none); ``orders`` holds
+    the nested-dissection order of each block system.
 
-    Blocks (unit coefficients, scaled on use):
+    Forms (unit coefficients, scaled on use):
       elasticity  (eps(u), eps(v))     vector x vector
       div_coupling (q, div v)          rows: vector dofs, cols: P1 dofs
       mass        (p, q)               P1 x P1
       stiffness   (grad p, grad q)     P1 x P1
 
+    Every system on an equal mesh shares one instance (see ``discretize``),
+    so its arrays are read-only.
+    """
+
+    def __init__(self, mesh: TriMesh):
+        self.mesh = mesh = copy.deepcopy(mesh)
+        self.V = V = Space(mesh, P2_VECTOR)
+        self.M = M = Space(mesh, P1)
+        self.elasticity = assemble_form(ELASTICITY, V, V)
+        self.div_coupling = assemble_form(DIV_COUPLING, M, V)
+        self.mass = assemble_form(MASS, M, M)
+        self.stiffness = assemble_form(P_STIFFNESS, M, M)
+        self.offsets = (0, V.num_dofs, V.num_dofs + M.num_dofs, V.num_dofs + 2 * M.num_dofs)
+        bd = V.boundary_scalar_dofs(DIRICHLET_TAGS)
+        self.bd_u = np.concatenate([bd, bd + V.num_scalar_dofs])
+        self.bd_p = M.boundary_scalar_dofs(DIRICHLET_TAGS)
+        # Each block's rows (u_x, u_y, then xi, then p) sorted by the keys of
+        # their nodes.  The P1 nodes are the P2 vertices, so their keys are
+        # the vertex prefix.
+        kv = dissection_keys(mesh, V.dof_coords())
+        km = kv[:mesh.num_vertices]
+        self.orders = {name: np.argsort(np.concatenate(rows), kind="stable") for name, rows in (
+            ("coupled", (kv, kv, km, km)), ("stokes", (kv, kv, km)),
+            ("pressure", (km,)), ("mass", (km,)))}
+
+        arrays = [mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags,
+                  mesh.edges, mesh.tri_edges, self.bd_u, self.bd_p, *self.orders.values()]
+        for form in (self.elasticity, self.div_coupling, self.mass, self.stiffness):
+            arrays += [form.data, form.indices, form.indptr]
+        for array in arrays:
+            array.flags.writeable = False
+
+
+#: How many meshes ``discretize`` keeps: one 1/h = 16..128 refinement chain.
+TABLE_SIZE = 4
+
+_discretizations: OrderedDict = OrderedDict()
+
+
+def discretize(mesh: TriMesh) -> Discretization:
+    """The shared ``Discretization`` of ``mesh``.
+
+    The table is keyed by the mesh's content (its four arrays, compared
+    exactly), not by the object, since every study builds its refinement
+    chain afresh.  It keeps the ``TABLE_SIZE`` most recently used meshes, so
+    longer chains get no sharing.
+    """
+    key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (
+        mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags))
+    _discretizations[key] = _discretizations.pop(key, None) or Discretization(mesh)
+    while len(_discretizations) > TABLE_SIZE:
+        _discretizations.popitem(last=False)
+    return _discretizations[key]
+
+
+class DiscreteSystem:
+    """One case on one mesh: operators, load profiles, and solver caches.
+
+    ``mesh``, ``V``, ``M``, the four forms, ``bd_u``/``bd_p`` and
+    ``offsets`` are those of the mesh's shared ``Discretization``.
+    ``gu_profile``/``gp_profile`` are the nodal interpolants of the
+    Dirichlet profiles at ``bd_u``/``bd_p``.
+
     Solvers are factored on first use, one per block system (see
-    ``solver``), in the nested-dissection order of ``dissection_keys``;
-    every solve enters ``max_solver_residual``.
+    ``solver``), and never shared between systems; every solve enters
+    ``max_solver_residual``.
     """
 
     def __init__(self, mesh: TriMesh, params: PhysParams, loads: LoadSet):
-        self.mesh = mesh
+        self.discretization = d = discretize(mesh)
         self.params = params
         self.loads = loads
+        self.mesh, self.V, self.M = d.mesh, d.V, d.M
+        self.elasticity, self.div_coupling = d.elasticity, d.div_coupling
+        self.mass, self.stiffness = d.mass, d.stiffness
+        self.offsets, self.bd_u, self.bd_p = d.offsets, d.bd_u, d.bd_p
 
-        self.V = Space(mesh, P2_VECTOR)
-        self.M = Space(mesh, P1)
-
-        self.elasticity = assemble_form(ELASTICITY, self.V, self.V)
-        self.div_coupling = assemble_form(DIV_COUPLING, self.M, self.V)
-        self.mass = assemble_form(MASS, self.M, self.M)
-        self.stiffness = assemble_form(P_STIFFNESS, self.M, self.M)
-
-        nv, nm = self.V.num_dofs, self.M.num_dofs
-        self.offsets = (0, nv, nv + nm, nv + 2 * nm)
-
-        self.fu_profile = np.zeros(nv)
+        self.fu_profile = np.zeros(self.V.num_dofs)
         if loads.volume_force is not None:
             self.fu_profile += assemble_functional(VOLUME_LOAD, self.V, loads.volume_force)
         if loads.traction is not None:
@@ -132,13 +190,8 @@ class DiscreteSystem:
         if loads.flux is not None:
             self.fq_profile += assemble_functional(BOUNDARY_FLUX, self.M, loads.flux)
 
-        bd = self.V.boundary_scalar_dofs(DIRICHLET_TAGS)
-        self.bd_u = np.concatenate([bd, bd + self.V.num_scalar_dofs])
-        self.bd_p = self.M.boundary_scalar_dofs(DIRICHLET_TAGS)
         self.gu_profile = _nodal_values(self.V, loads.displacement_bc, self.bd_u)
         self.gp_profile = _nodal_values(self.M, loads.pressure_bc, self.bd_p)
-
-        self._keys = dissection_keys(mesh, self.V.dof_coords())
         self._solvers: dict[str, _ConstrainedSolver] = {}
 
     # -- block systems ------------------------------------------------------
@@ -171,13 +224,8 @@ class DiscreteSystem:
         raise ValueError(f"unknown block system {name!r}")
 
     def _order(self, name: str) -> np.ndarray:
-        """Nested-dissection order of one block system: its rows (u_x, u_y,
-        then xi, then p) sorted by the keys of their nodes.  The P1 nodes
-        are the P2 vertices, so their keys are the vertex prefix."""
-        kv, km = self._keys, self._keys[:self.mesh.num_vertices]
-        rows = {"coupled": (kv, kv, km, km), "stokes": (kv, kv, km),
-                "pressure": (km,), "mass": (km,)}[name]
-        return np.argsort(np.concatenate(rows), kind="stable")
+        """Nested-dissection order of one block system."""
+        return self.discretization.orders[name]
 
     def solver(self, name: str) -> _ConstrainedSolver:
         """The factored ``coupled``, ``stokes``, ``pressure`` or ``mass`` system."""

@@ -235,32 +235,3 @@ class FieldVector:
     def component(self, c: int) -> np.ndarray:
         n = self.space.num_scalar_dofs
         return self.values[c * n:(c + 1) * n]
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at physical points (brute-force element search).
-
-        Returns an array of shape (npts,) for scalar fields and (npts, 2)
-        for vector fields.  Intended for verification at modest sizes, not
-        for bulk postprocessing.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        mesh = self.space.mesh
-        jac, inv_t, _ = affine_maps(mesh)
-        inv = np.transpose(inv_t, (0, 2, 1))
-        p0 = mesh.vertices[mesh.triangles[:, 0]]
-        cell_dofs = self.space.cell_dofs()
-        nsc = self.space.num_scalar_dofs
-
-        out = np.empty((len(points), self.space.components))
-        for ip, pt in enumerate(points):
-            local = np.einsum("tij,tj->ti", inv, pt[None, :] - p0)
-            bary_min = np.minimum(local.min(axis=1), 1.0 - local.sum(axis=1))
-            it = int(np.argmax(bary_min))
-            if bary_min[it] < -1e-10:
-                raise ValueError(f"point {pt} lies outside the mesh")
-            values, _ = eval_basis(self.space.scalar_kind, local[it])
-            dofs = cell_dofs[it]
-            for c in range(self.space.components):
-                coeff = self.values[dofs + c * nsc]
-                out[ip, c] = coeff @ values[:, 0]
-        return out[:, 0] if self.space.components == 1 else out

@@ -89,7 +89,7 @@ def lu_factor(A: sparse.spmatrix, order: np.ndarray) -> Factorization:
     if np.any(row_counts == 0):
         row = int(np.argmin(row_counts))
         raise SingularMatrixError(f"matrix is structurally singular: row {row} is empty")
-    col_counts = np.diff(sparse.csc_matrix(A).indptr)
+    col_counts = np.bincount(A.indices, minlength=n)
     if np.any(col_counts == 0):
         col = int(np.argmin(col_counts))
         raise SingularMatrixError(f"matrix is structurally singular: column {col} is empty")

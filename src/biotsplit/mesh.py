@@ -101,20 +101,6 @@ class TriMesh:
         lo, hi = np.sort(self.boundary_edges, axis=1).T
         return np.searchsorted(keys, lo * nv + hi)
 
-    @property
-    def h(self) -> float:
-        """Mesh size: length of the longest edge."""
-        d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
-        return float(np.sqrt((d * d).sum(axis=1)).max())
-
-    def signed_areas(self) -> np.ndarray:
-        """Signed area of every triangle (positive for counterclockwise)."""
-        p0 = self.vertices[self.triangles[:, 0]]
-        p1 = self.vertices[self.triangles[:, 1]]
-        p2 = self.vertices[self.triangles[:, 2]]
-        a, b = p1 - p0, p2 - p0
-        return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-
 
 def dissection_keys(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
     """Nested-dissection keys of the nodes ``points`` of a space on ``mesh``.

@@ -6,6 +6,7 @@ compared against the assembled sparse matrices.
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from biotsplit.assembly import (
@@ -455,3 +456,51 @@ def test_block_orders_factor_on_distorted_mesh(distorted, name):
     solver = system.solver(name)
     solver.fact.solve(np.ones(len(order)))
     assert solver.fact.max_rel_residual < 1e-11
+
+
+def product_elimination(A, dofs):
+    """``constrain_matrix`` by its defining formula: P A P + diag(pinned),
+    explicit zeros dropped, indices sorted."""
+    keep = np.ones(A.shape[0])
+    keep[dofs] = 0.0
+    P = sparse.diags(keep)
+    out = (P @ A @ P + sparse.diags(1.0 - keep)).tocsr()
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
+
+
+def assert_same_bits(got, expect):
+    assert got.format == expect.format and got.shape == expect.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def assert_eliminates_like_the_formulas(A, dofs):
+    assert_same_bits(constrain_matrix(A, dofs), product_elimination(A, dofs))
+    columns, expect = dirichlet_columns(A, dofs), sparse.csc_matrix(A)[:, dofs]
+    assert_same_bits(columns, expect)
+    values = np.random.default_rng(3).standard_normal(len(dofs))
+    assert (columns @ values).tobytes() == (expect @ values).tobytes()
+
+
+@pytest.mark.parametrize("name", ["coupled", "stokes", "pressure"])
+def test_one_pass_elimination_matches_the_formulas(distorted, name):
+    case = make_case("nu03")
+    system = build_system(distorted, case.params, benchmark_loads(case))
+    assert_eliminates_like_the_formulas(*system._block(name))
+
+
+def test_one_pass_elimination_without_a_stored_diagonal():
+    # pinned row 1 stores no diagonal entry, pinned row 2 an explicit zero
+    # there; free row 3 stores an explicit zero on its diagonal
+    A = sparse.csr_matrix((
+        np.array([4.0, 1.0, 2.0, 1.0, 3.0, 1.0, 3.0, 0.0, 2.0, 0.0, 5.0, 1.0, 5.0, 6.0]),
+        np.array([0, 1, 3, 0, 2, 4, 1, 2, 0, 3, 4, 1, 3, 4]),
+        np.array([0, 3, 6, 8, 11, 14])), shape=(5, 5))
+    dofs = np.array([1, 2])
+    assert_eliminates_like_the_formulas(A, dofs)
+    C = constrain_matrix(A, dofs)
+    np.testing.assert_array_equal(C.toarray()[np.ix_(dofs, dofs)], np.eye(2))
+    assert C.indices[C.indptr[3]:C.indptr[4]].tolist() == [0, 4]

@@ -203,22 +203,23 @@ def test_nan_residual_taints_the_study(tiny_study, level):
     assert study_report(study)["solver"]["tainted"] is True
 
 
+def counting(monkeypatch, calls, module, name):
+    """Rebind ``module.name`` to count its calls in ``calls[name]``."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_run_study_calls_the_module_level_names(monkeypatch):
     # The traced benchmark wraps these names on their modules, so run_study
     # must look each one up when it calls it.
     calls = collections.Counter()
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-
     for name in ("step_coupled", "step_te_decoupled", "step_iterative", "lu_factor"):
-        count(biot, name)
-    count(benchmark, "build_system")
+        counting(monkeypatch, calls, biot, name)
+    counting(monkeypatch, calls, benchmark, "build_system")
     case = make_case("nu03", T=2e-3)  # two steps per level, two levels
     expected = {
         "coupled": {"build_system": 2, "lu_factor": 2, "step_coupled": 4},
@@ -230,6 +231,30 @@ def test_run_study_calls_the_module_level_names(monkeypatch):
         run_study(algorithm, case, levels=2, n0=2,
                   iters=2 if algorithm == "iterative" else None)
         assert calls == want, algorithm
+
+
+def test_a_second_study_on_the_chain_assembles_no_form(monkeypatch):
+    calls = collections.Counter()
+    for name in ("assemble_form", "lu_factor"):
+        counting(monkeypatch, calls, biot, name)
+    biot._discretizations.clear()
+    run_study("te", make_case("nu03", T=2e-3), levels=2, n0=3)
+    assert calls == {"assemble_form": 8, "lu_factor": 4}
+    calls.clear()
+    run_study("te", make_case("c00", dt=2e-3, T=4e-3), levels=2, n0=3)
+    assert calls == {"lu_factor": 4}
+
+
+def test_reports_do_not_depend_on_the_shared_discretizations():
+    def reports():
+        study = run_study("te", make_case("nu03"), levels=3, n0=4)
+        return study_csv(study), json.dumps(study_report(study), sort_keys=True)
+
+    biot._discretizations.clear()
+    cold = reports()
+    run_study("iterative", make_case("c00"), levels=3, n0=4, iters=2)
+    assert reports() == cold
+    assert cold[0] == CSV_HEADER + "\n" + PINNED_CSV["te"]
 
 
 def test_report_structure(tiny_study):

@@ -4,21 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from biotsplit.benchmark import homogeneous_loads
+from biotsplit import biot
+from biotsplit.benchmark import homogeneous_loads, make_case, run_study
 from biotsplit.biot import (
-    MAX_SWEEPS,
     ConvergenceFailure,
     LoadSet,
     advance,
     build_system,
     contraction_monitor,
+    discretize,
     energy_check,
     korn_check,
     step_coupled,
     step_iterative,
     step_te_decoupled,
 )
-from biotsplit.mesh import build_uniform
+from biotsplit.mesh import TriMesh, build_uniform, refine
 
 
 def zero_state(system):
@@ -79,10 +80,13 @@ def test_step_iterative_argument_validation(small_system, small_initial):
             step_iterative(small_system, small_initial, tol=tol)
 
 
-def test_unreachable_tolerance_raises(small_system, small_initial):
+def test_unreachable_tolerance_raises(small_system, small_initial, monkeypatch):
+    # two sweeps leave the increment eight orders of magnitude above tol
+    monkeypatch.setattr(biot, "MAX_SWEEPS", 2)
     with pytest.raises(ConvergenceFailure) as info:
-        step_iterative(small_system, small_initial, tol=1e-300)
-    assert len(info.value.history) == MAX_SWEEPS
+        step_iterative(small_system, small_initial, tol=1e-10)
+    assert len(info.value.history) == 2
+    assert info.value.history[-1] > 1e-3
 
 
 def test_advance_keep_states(small_system, small_initial):
@@ -173,3 +177,43 @@ def test_nan_solve_shows_in_max_solver_residual(nu03_case):
     u = np.full(system.V.num_dofs, np.nan)
     system.project_total_pressure(u, np.zeros(system.M.num_dofs))
     assert np.isnan(system.max_solver_residual())
+
+
+def test_equal_meshes_share_one_discretization(nu03_case):
+    a = build_system(build_uniform(3), nu03_case.params, LoadSet())
+    b = build_system(build_uniform(3), make_case("c00").params, LoadSet())
+    assert b.discretization is a.discretization
+    assert b.elasticity is a.elasticity and b.bd_p is a.bd_p
+    assert b.solver("stokes") is not a.solver("stokes")  # no factor is shared
+
+
+def test_moved_vertices_get_their_own_discretization(nu03_case):
+    mesh = build_uniform(3)
+    moved = TriMesh(mesh.vertices.copy(), mesh.triangles, mesh.boundary_edges,
+                    mesh.boundary_tags)
+    moved.vertices[5] += 0.05  # the interior vertex (1/3, 1/3)
+    a = build_system(mesh, nu03_case.params, LoadSet())
+    b = build_system(moved, nu03_case.params, LoadSet())
+    assert b.discretization is not a.discretization
+    assert not np.array_equal(a.mass.data, b.mass.data)
+
+
+def test_shared_arrays_are_read_only(small_system):
+    for array in (small_system.elasticity.data, small_system.div_coupling.indices,
+                  small_system.mass.indptr, small_system.stiffness.data,
+                  small_system.bd_u, small_system.mesh.vertices,
+                  small_system._order("coupled")):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+def test_table_keeps_the_most_recent_meshes(monkeypatch):
+    case = make_case("nu03", T=1e-3)
+    for n0 in (2, 3, 4, 5, 6):
+        run_study("coupled", case, levels=2, n0=n0)
+    assert len(biot._discretizations) == biot.TABLE_SIZE == 4
+    # the last two chains are kept: looking them up builds nothing
+    monkeypatch.setattr(biot, "Discretization", None)
+    for n0 in (5, 6):
+        discretize(build_uniform(n0))
+        discretize(refine(build_uniform(n0)))

@@ -12,6 +12,8 @@ from biotsplit.mesh import (
     refine,
 )
 
+from helpers import mesh_size, signed_areas
+
 
 def test_single_cell_counts():
     mesh = build_uniform(1)
@@ -38,7 +40,7 @@ def test_uniform_counts(n):
 
 def test_positive_areas_sum_to_domain():
     mesh = build_uniform(5)
-    areas = mesh.signed_areas()
+    areas = signed_areas(mesh)
     assert (areas > 0).all()
     np.testing.assert_allclose(areas.sum(), 1.0, rtol=1e-14)
     # uniform split: every triangle has the same area
@@ -104,12 +106,12 @@ def test_refine_reproduces_doubled_mesh():
 
 def test_h_halves_under_refinement():
     mesh = build_uniform(4)
-    np.testing.assert_allclose(refine(mesh).h, mesh.h / 2, rtol=1e-14)
+    np.testing.assert_allclose(mesh_size(refine(mesh)), mesh_size(mesh) / 2, rtol=1e-14)
 
 
 def test_refined_areas_positive():
     mesh = refine(refine(build_uniform(2)))
-    assert (mesh.signed_areas() > 0).all()
+    assert (signed_areas(mesh) > 0).all()
 
 
 def test_build_uniform_rejects_bad_n():
