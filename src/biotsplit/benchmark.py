@@ -363,6 +363,6 @@ def write_csv(study: StudyResult, path: str) -> None:
 
 
 def write_json(report: dict, path: str) -> None:
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"  # no partial file on a bad value
     with open(path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)

@@ -23,9 +23,8 @@ mesh; factors are not shared.
 """
 from __future__ import annotations
 
-import copy
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Optional
@@ -91,10 +90,10 @@ class _ConstrainedSolver:
 class Discretization:
     """The parameter-free part of every system on one mesh.
 
-    ``mesh`` is a private copy of the mesh; ``V`` is the P2 vector space of
-    u, ``M`` the one P1 space of xi and p; ``bd_u``/``bd_p`` are the dofs of
-    u and p on the sides ``DIRICHLET_TAGS`` (xi has none); ``orders`` holds
-    the nested-dissection order of each block system.
+    ``V`` is the P2 vector space of u, ``M`` the one P1 space of xi and p;
+    ``bd_u``/``bd_p`` are the dofs of u and p on the sides ``DIRICHLET_TAGS``
+    (xi has none); ``orders`` holds the nested-dissection order of each
+    block system.
 
     Forms (unit coefficients, scaled on use):
       elasticity  (eps(u), eps(v))     vector x vector
@@ -107,7 +106,7 @@ class Discretization:
     """
 
     def __init__(self, mesh: TriMesh):
-        self.mesh = mesh = copy.deepcopy(mesh)
+        self.mesh = mesh
         self.V = V = Space(mesh, P2_VECTOR)
         self.M = M = Space(mesh, P1)
         self.elasticity = assemble_form(ELASTICITY, V, V)
@@ -127,8 +126,7 @@ class Discretization:
             ("coupled", (kv, kv, km, km)), ("stokes", (kv, kv, km)),
             ("pressure", (km,)), ("mass", (km,)))}
 
-        arrays = [mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags,
-                  mesh.edges, mesh.tri_edges, self.bd_u, self.bd_p, *self.orders.values()]
+        arrays = [self.bd_u, self.bd_p, *self.orders.values()]
         for form in (self.elasticity, self.div_coupling, self.mass, self.stiffness):
             arrays += [form.data, form.indices, form.indptr]
         for array in arrays:
@@ -138,23 +136,16 @@ class Discretization:
 #: How many meshes ``discretize`` keeps: one 1/h = 16..128 refinement chain.
 TABLE_SIZE = 4
 
-_discretizations: OrderedDict = OrderedDict()
 
-
+@functools.lru_cache(maxsize=TABLE_SIZE)
 def discretize(mesh: TriMesh) -> Discretization:
     """The shared ``Discretization`` of ``mesh``.
 
-    The table is keyed by the mesh's content (its four arrays, compared
-    exactly), not by the object, since every study builds its refinement
-    chain afresh.  It keeps the ``TABLE_SIZE`` most recently used meshes, so
-    longer chains get no sharing.
+    Meshes are values, so an equal mesh built afresh (every study builds its
+    refinement chain anew) finds the same instance.  The ``TABLE_SIZE`` most
+    recently used meshes are kept, so longer chains get no sharing.
     """
-    key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (
-        mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags))
-    _discretizations[key] = _discretizations.pop(key, None) or Discretization(mesh)
-    while len(_discretizations) > TABLE_SIZE:
-        _discretizations.popitem(last=False)
-    return _discretizations[key]
+    return Discretization(mesh)
 
 
 class DiscreteSystem:
@@ -223,14 +214,11 @@ class DiscreteSystem:
             return self.mass.tocsr(), np.array([], dtype=np.int64)
         raise ValueError(f"unknown block system {name!r}")
 
-    def _order(self, name: str) -> np.ndarray:
-        """Nested-dissection order of one block system."""
-        return self.discretization.orders[name]
-
     def solver(self, name: str) -> _ConstrainedSolver:
         """The factored ``coupled``, ``stokes``, ``pressure`` or ``mass`` system."""
         if name not in self._solvers:
-            self._solvers[name] = _ConstrainedSolver(*self._block(name), self._order(name))
+            order = self.discretization.orders[name]
+            self._solvers[name] = _ConstrainedSolver(*self._block(name), order)
         return self._solvers[name]
 
     # -- norms and diagnostics --------------------------------------------
@@ -434,10 +422,21 @@ class ContractionReport:
     xi_errors: np.ndarray         # ||xi^{n,i} - xi^n||, i = 0..imax
     p_errors: np.ndarray          # ||p^{n,i} - p^n||, i = 1..imax
     strain_errors: np.ndarray     # ||eps(u^{n,i} - u^n)||, i = 1..imax
-    ratios: np.ndarray            # xi_errors[i] / xi_errors[i-1] where defined
     mu: float
     alpha: float
     scale: float                  # ||xi^n||, sets the solver-noise floor
+
+    @property
+    def floor(self) -> float:
+        """Noise floor of the direct solves: no xi error is measured below it."""
+        return max(1e-13 * self.scale, 1e-300)
+
+    @property
+    def ratios(self) -> np.ndarray:
+        """xi_errors[i] / xi_errors[i-1] while xi_errors[i-1] is above the floor."""
+        e = self.xi_errors
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (e[1:] / e[:-1])[e[:-1] > self.floor]
 
     @property
     def max_ratio(self) -> float:
@@ -475,19 +474,9 @@ def contraction_monitor(sys: DiscreteSystem, state: BiotState,
         xi_errors.append(sys.l2_p1(it_state.xi.values - reference.xi.values))
         p_errors.append(sys.l2_p1(it_state.p.values - reference.p.values))
         strain_errors.append(sys.strain_norm(it_state.u.values - reference.u.values))
-
-    xi_errors = np.array(xi_errors)
-    # ratios are meaningful only while the previous error is above the noise
-    # floor of the direct solves
-    floor = max(1e-13 * sys.l2_p1(reference.xi.values), 1e-300)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = xi_errors[1:] / xi_errors[:-1]
-    ratios = raw[xi_errors[:-1] > floor]
-    return ContractionReport(rho=p.contraction_factor, xi_errors=xi_errors,
-                             p_errors=np.array(p_errors),
-                             strain_errors=np.array(strain_errors),
-                             ratios=ratios, mu=p.mu, alpha=p.alpha,
-                             scale=sys.l2_p1(reference.xi.values))
+    return ContractionReport(rho=p.contraction_factor, xi_errors=np.array(xi_errors),
+                             p_errors=np.array(p_errors), strain_errors=np.array(strain_errors),
+                             mu=p.mu, alpha=p.alpha, scale=sys.l2_p1(reference.xi.values))
 
 
 @dataclass

@@ -196,12 +196,14 @@ def _check_contraction(case, n0: int) -> tuple[bool, dict]:
               "pressure_bound_ok": report.pressure_bound_ok(),
               "strain_bound_ok": report.strain_bound_ok()}
     if params.c0 > 0:
-        ok = (report.max_ratio <= report.rho + 1e-8 and len(report.ratios) >= 20
+        # a fast contraction (nu near 1/2) reaches the noise floor in a few sweeps
+        measured = len(report.ratios) >= 20 or bool(report.xi_errors[-1] <= report.floor)
+        ok = (report.max_ratio <= report.rho + 1e-8 and measured
               and report.pressure_bound_ok() and report.strain_bound_ok())
     else:
         e = report.xi_errors
         nonincreasing = bool(np.all(np.diff(e) <= 1e-12 * max(e[0], 1.0)))
-        reached = e[-1] <= 1e-8 * e[0] if e[0] > 0 else True
+        reached = bool(e[-1] <= 1e-8 * e[0]) if e[0] > 0 else True
         first = int(np.argmax(e <= 1e-8 * e[0])) if reached else -1
         detail.update({"nonincreasing": nonincreasing,
                        "reduction_reached_at": first})

@@ -34,9 +34,13 @@ SIDE_NORMALS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TriMesh:
-    """Conforming triangle mesh.
+    """Conforming triangle mesh, an immutable value.
+
+    The mesh keeps read-only copies of the four arrays it is built from, and
+    builds its edge tables once.  Two meshes are equal when their four arrays
+    have the same dtype, shape and bytes; equal meshes hash alike.
 
     Attributes
     ----------
@@ -48,15 +52,50 @@ class TriMesh:
         Vertex index pairs of boundary edges.
     boundary_tags : (nb,) int array
         Side tag (1-4) per boundary edge.
+    edges, tri_edges, boundary_edge_ids : int arrays
+        Built on construction: the (ne, 2) unique edges as sorted vertex pairs,
+        lexicographically ordered; the (nt, 3) edge of each triangle opposite
+        its local vertex k; the (nb,) edge of each boundary edge.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
+    edges: np.ndarray = field(init=False, repr=False)
+    tri_edges: np.ndarray = field(init=False, repr=False)
+    boundary_edge_ids: np.ndarray = field(init=False, repr=False)
 
-    _edges: np.ndarray = field(default=None, repr=False, compare=False)
-    _tri_edges: np.ndarray = field(default=None, repr=False, compare=False)
+    def __post_init__(self):
+        def freeze(name, array):
+            array = np.array(array, order="C")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+        for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+            freeze(name, getattr(self, name))
+        tri, nv = self.triangles, self.num_vertices
+        # local edge k connects vertices (k+1, k+2) mod 3; the key lo * nv + hi
+        # sorts the edges as (lo, hi) pairs
+        pairs = np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]])
+        lo, hi = np.sort(pairs, axis=1).astype(np.int64).T
+        keys, inverse = np.unique(lo * nv + hi, return_inverse=True)
+        freeze("edges", np.column_stack(np.divmod(keys, nv)).astype(tri.dtype))
+        freeze("tri_edges", inverse.reshape(3, -1).T)
+        lo, hi = np.sort(self.boundary_edges, axis=1).astype(np.int64).T
+        freeze("boundary_edge_ids", np.searchsorted(keys, lo * nv + hi))
+
+    def _content(self) -> tuple:
+        return tuple((a.dtype.str, a.shape, a.tobytes()) for a in (
+            self.vertices, self.triangles, self.boundary_edges, self.boundary_tags))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TriMesh):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
 
     @property
     def num_vertices(self) -> int:
@@ -69,37 +108,6 @@ class TriMesh:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Unique mesh edges as sorted vertex pairs, lexicographically ordered."""
-        if self._edges is None:
-            self._build_edges()
-        return self._edges
-
-    @property
-    def tri_edges(self) -> np.ndarray:
-        """(nt, 3) global edge index per triangle; local edge k is opposite vertex k."""
-        if self._tri_edges is None:
-            self._build_edges()
-        return self._tri_edges
-
-    def _build_edges(self) -> None:
-        tri = self.triangles
-        # local edge k connects vertices (k+1, k+2) mod 3
-        pairs = np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]])
-        pairs = np.sort(pairs, axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        self._edges = edges
-        self._tri_edges = inverse.reshape(3, -1).T.copy()
-
-    @property
-    def boundary_edge_ids(self) -> np.ndarray:
-        """(nb,) global edge index of each boundary edge."""
-        nv = self.num_vertices
-        keys = self.edges[:, 0] * nv + self.edges[:, 1]  # ascending: edges are sorted
-        lo, hi = np.sort(self.boundary_edges, axis=1).T
-        return np.searchsorted(keys, lo * nv + hi)
 
 
 def dissection_keys(mesh: TriMesh, points: np.ndarray) -> np.ndarray:

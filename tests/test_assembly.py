@@ -171,8 +171,9 @@ def test_form_validation():
 
 
 def test_flipped_triangle_rejected():
-    mesh = unit_triangle()
-    mesh.triangles = mesh.triangles[:, ::-1].copy()  # clockwise
+    ccw = unit_triangle()
+    mesh = TriMesh(ccw.vertices, ccw.triangles[:, ::-1], ccw.boundary_edges,
+                   ccw.boundary_tags)  # clockwise
     space = Space(mesh, "p1")
     with pytest.raises(ValueError, match="non-positive area"):
         assemble_form(MASS, space, space)
@@ -451,7 +452,7 @@ def test_block_orders_factor_on_distorted_mesh(distorted, name):
     # off the grid the keys still order every row once, and the factor solves
     case = make_case("nu03")
     system = build_system(distorted, case.params, benchmark_loads(case))
-    order = system._order(name)
+    order = system.discretization.orders[name]
     assert np.array_equal(np.sort(order), np.arange(system._block(name)[0].shape[0]))
     solver = system.solver(name)
     solver.fact.solve(np.ones(len(order)))

@@ -237,7 +237,7 @@ def test_a_second_study_on_the_chain_assembles_no_form(monkeypatch):
     calls = collections.Counter()
     for name in ("assemble_form", "lu_factor"):
         counting(monkeypatch, calls, biot, name)
-    biot._discretizations.clear()
+    biot.discretize.cache_clear()
     run_study("te", make_case("nu03", T=2e-3), levels=2, n0=3)
     assert calls == {"assemble_form": 8, "lu_factor": 4}
     calls.clear()
@@ -250,7 +250,7 @@ def test_reports_do_not_depend_on_the_shared_discretizations():
         study = run_study("te", make_case("nu03"), levels=3, n0=4)
         return study_csv(study), json.dumps(study_report(study), sort_keys=True)
 
-    biot._discretizations.clear()
+    biot.discretize.cache_clear()
     cold = reports()
     run_study("iterative", make_case("c00"), levels=3, n0=4, iters=2)
     assert reports() == cold

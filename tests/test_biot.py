@@ -187,11 +187,20 @@ def test_equal_meshes_share_one_discretization(nu03_case):
     assert b.solver("stokes") is not a.solver("stokes")  # no factor is shared
 
 
+def test_the_discretization_holds_the_callers_mesh(nu03_case):
+    biot.discretize.cache_clear()
+    mesh = build_uniform(3)
+    system = build_system(mesh, nu03_case.params, LoadSet())
+    assert system.mesh is mesh and system.discretization.mesh is mesh
+    # an equal mesh built afresh finds it
+    assert build_system(build_uniform(3), nu03_case.params, LoadSet()).mesh is mesh
+
+
 def test_moved_vertices_get_their_own_discretization(nu03_case):
     mesh = build_uniform(3)
-    moved = TriMesh(mesh.vertices.copy(), mesh.triangles, mesh.boundary_edges,
-                    mesh.boundary_tags)
-    moved.vertices[5] += 0.05  # the interior vertex (1/3, 1/3)
+    vertices = mesh.vertices.copy()
+    vertices[5] += 0.05  # the interior vertex (1/3, 1/3)
+    moved = TriMesh(vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
     a = build_system(mesh, nu03_case.params, LoadSet())
     b = build_system(moved, nu03_case.params, LoadSet())
     assert b.discretization is not a.discretization
@@ -202,7 +211,7 @@ def test_shared_arrays_are_read_only(small_system):
     for array in (small_system.elasticity.data, small_system.div_coupling.indices,
                   small_system.mass.indptr, small_system.stiffness.data,
                   small_system.bd_u, small_system.mesh.vertices,
-                  small_system._order("coupled")):
+                  small_system.discretization.orders["coupled"]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
 
@@ -211,7 +220,7 @@ def test_table_keeps_the_most_recent_meshes(monkeypatch):
     case = make_case("nu03", T=1e-3)
     for n0 in (2, 3, 4, 5, 6):
         run_study("coupled", case, levels=2, n0=n0)
-    assert len(biot._discretizations) == biot.TABLE_SIZE == 4
+    assert biot.discretize.cache_info().currsize == biot.TABLE_SIZE == 4
     # the last two chains are kept: looking them up builds nothing
     monkeypatch.setattr(biot, "Discretization", None)
     for n0 in (5, 6):

@@ -1,13 +1,16 @@
 """Command-line interface: config handling, exit codes, artifacts, checks."""
+import dataclasses
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import scipy.io
 
-from biotsplit import biot
-from biotsplit.cli import (CHECK_NAMES, RATE_FLOORS, ConfigError, _check_rates, main,
-                           parse_config)
+from biotsplit import biot, cli
+from biotsplit.benchmark import make_case, write_json
+from biotsplit.cli import (CHECK_NAMES, RATE_FLOORS, ConfigError, _check_contraction,
+                           _check_rates, main, parse_config)
 
 TINY = ["--preset", "nu03", "--T", "2e-3", "--n0", "4", "--levels", "2"]
 
@@ -147,6 +150,51 @@ def test_checks_pass_on_sound_configuration(tmp_path, capsys):
     assert report["checks"]["energy"]["passed"] is True
     assert report["checks"]["korn"]["passed"] is True
     assert report["failures"] == []
+
+
+def test_contraction_check_with_c0_zero_writes_its_report(tmp_path, capsys):
+    json_path = tmp_path / "report.json"
+    code = main(["--preset", "c00", "--n0", "4", "--levels", "2",
+                 "--check", "contraction", "--out-json", str(json_path)])
+    assert code == 0
+    assert "check contraction: PASS" in capsys.readouterr().out
+    report = json.loads(json_path.read_text())
+    assert report["checks"]["contraction"]["passed"] is True
+
+
+def test_contraction_check_passes_when_the_error_reaches_the_noise_floor(tmp_path, capsys):
+    # nu -> 1/2 gives rho = 6e-3: three sweeps reach the solver-noise floor,
+    # so fewer than 20 ratios are measured
+    json_path = tmp_path / "report.json"
+    code = main(["--preset", "nu0499", "--n0", "4", "--levels", "2",
+                 "--check", "contraction", "--out-json", str(json_path)])
+    assert code == 0
+    assert "check contraction: PASS" in capsys.readouterr().out
+    detail = json.loads(json_path.read_text())["checks"]["contraction"]
+    assert detail["passed"] is True and detail["num_ratios"] < 20
+
+
+def test_contraction_check_fails_on_a_ratio_above_rho(monkeypatch):
+    monitor = cli.contraction_monitor
+
+    def stalled(system, state, imax):
+        report = monitor(system, state, imax=imax)
+        e = report.xi_errors.copy()
+        e[2] = e[1]  # one sweep that does not contract; the bounds only loosen
+        return dataclasses.replace(report, xi_errors=e)
+
+    monkeypatch.setattr(cli, "contraction_monitor", stalled)
+    ok, detail = _check_contraction(make_case("nu0499"), 4)
+    assert detail["max_ratio"] == 1.0 > detail["rho"]
+    assert detail["num_ratios"] < 20 and detail["pressure_bound_ok"] and detail["strain_bound_ok"]
+    assert ok is False
+
+
+def test_unserializable_report_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        write_json({"passed": np.bool_(True)}, str(path))
+    assert not path.exists()
 
 
 def test_rate_floor_violation_fails_run(tmp_path, capsys):

@@ -135,7 +135,7 @@ def test_lu_fill_is_below_colamd(systems_32, name, bound):
     # the symmetric order keeps its fill only with diagonal pivots; a pivot
     # threshold of 1e-2 already leaves the diagonal on nu0499 and loses it
     A = constrain_matrix(*systems_32._block(name))
-    fact = lu_factor(A, systems_32._order(name))
+    fact = lu_factor(A, systems_32.discretization.orders[name])
     colamd = spla.splu(A.tocsc(), permc_spec="COLAMD")
     assert _fill(fact._lu) <= bound * _fill(colamd)
     b = np.ones(A.shape[0])
@@ -150,7 +150,7 @@ def test_coupled_fill_at_64_is_below_the_minimum_degree_fill():
     system = build_system(refine(refine(build_uniform(16))), case.params,
                           benchmark_loads(case))
     A = constrain_matrix(*system._block("coupled"))
-    fact = lu_factor(A, system._order("coupled"))
+    fact = lu_factor(A, system.discretization.orders["coupled"])
     assert _fill(fact._lu) <= 0.8 * 13.38e6
     fact.solve(np.ones(A.shape[0]))
     assert fact.max_rel_residual < 1e-11
@@ -187,7 +187,7 @@ def test_grid_line_cuts_separate_the_coupled_system(small_case_8):
     keys = np.concatenate([kv, kv, kv[:nv], kv[:nv]])
     pattern = system._block("coupled")[0]
     assert _cut_crossings(pattern, keys) == 0
-    assert np.array_equal(np.argsort(keys, kind="stable"), system._order("coupled"))
+    assert np.array_equal(np.argsort(keys, kind="stable"), system.discretization.orders["coupled"])
     # one more node half a step left of the square moves every cut onto the
     # half-grid lines through edge midpoints, which triangles cross
     shifted = np.vstack([system.V.dof_coords(), [[-1 / 16, 0.0]]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from biotsplit.mesh import (
     LEFT,
     RIGHT,
     TOP,
+    TriMesh,
     build_uniform,
     refine,
 )
@@ -117,3 +120,76 @@ def test_refined_areas_positive():
 def test_build_uniform_rejects_bad_n():
     with pytest.raises(ValueError):
         build_uniform(0)
+
+
+# ---------------------------------------------------------------------------
+# the mesh is an immutable value
+# ---------------------------------------------------------------------------
+
+def jittered(n, seed=7):
+    """build_uniform(n) with its interior vertices moved by up to h/4."""
+    mesh = build_uniform(n)
+    vertices = mesh.vertices.copy()
+    inner = np.all((vertices > 1e-12) & (vertices < 1 - 1e-12), axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[inner] += rng.uniform(-0.25 / n, 0.25 / n, size=(int(inner.sum()), 2))
+    return TriMesh(vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
+
+
+def test_mesh_arrays_are_read_only():
+    mesh = build_uniform(3)
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_tags",
+                 "edges", "tri_edges", "boundary_edge_ids"):
+        array = getattr(mesh, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mesh, name, array.copy())
+
+
+def test_mesh_keeps_its_own_copy_of_the_arrays():
+    source = build_uniform(3)
+    vertices, tags = source.vertices.copy(), source.boundary_tags.copy()
+    mesh = TriMesh(vertices, source.triangles, source.boundary_edges, tags)
+    before = hash(mesh)
+    vertices[5] += 0.05
+    tags[0] = 4
+    assert mesh == source and hash(mesh) == before == hash(source)
+    np.testing.assert_array_equal(mesh.vertices, source.vertices)
+    np.testing.assert_array_equal(mesh.boundary_tags, source.boundary_tags)
+
+
+def test_meshes_are_equal_by_content():
+    a, b = build_uniform(3), build_uniform(3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != build_uniform(4)
+    vertices = a.vertices.copy()
+    vertices[5] += 0.05  # same shapes, one vertex moved
+    assert a != TriMesh(vertices, a.triangles, a.boundary_edges, a.boundary_tags)
+    tags = a.boundary_tags.copy()
+    tags[0] = TOP  # same shapes, one side tag changed
+    assert a != TriMesh(a.vertices, a.triangles, a.boundary_edges, tags)
+    assert a != TriMesh(a.vertices, a.triangles.astype(np.int32), a.boundary_edges,
+                        a.boundary_tags)  # same values, another dtype
+
+
+def lexicographic_edge_tables(mesh):
+    """The edge tables by a lexicographic unique of the sorted vertex pairs."""
+    tri = mesh.triangles
+    pairs = np.sort(np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]]), axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    nv = mesh.num_vertices
+    keys = edges[:, 0] * nv + edges[:, 1]
+    lo, hi = np.sort(mesh.boundary_edges, axis=1).T
+    return edges, inverse.reshape(3, -1).T, np.searchsorted(keys, lo * nv + hi)
+
+
+def test_edge_tables_match_the_lexicographic_formula():
+    chain = [build_uniform(2)]
+    for _ in range(3):
+        chain.append(refine(chain[-1]))
+    for mesh in [build_uniform(n) for n in range(1, 9)] + chain + [jittered(5)]:
+        tables = (mesh.edges, mesh.tri_edges, mesh.boundary_edge_ids)
+        for got, want in zip(tables, lexicographic_edge_tables(mesh)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
