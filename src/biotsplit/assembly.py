@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sparse
 
 from .fem import (P1, P2_VECTOR, Space, affine_maps, edge_quadrature, eval_basis,
@@ -234,29 +233,43 @@ def _boundary_load(test: Space, data) -> np.ndarray:
     return out
 
 
-def constrain_matrix(A: sparse.spmatrix, dofs: np.ndarray) -> sparse.csr_matrix:
-    """Eliminate rows and columns: identity on constrained dofs.
+def constrain_matrix(A: sparse.spmatrix, dofs: np.ndarray,
+                     order: np.ndarray) -> sparse.csc_matrix:
+    """Eliminate rows and columns, identity on constrained dofs, and number
+    the result in ``order``: row and column k of the returned canonical CSC
+    are row and column ``order[k]`` of the constrained matrix.
 
     Symmetry of the input is preserved (row and column elimination together).
     One pass over the CSR data keeps the nonzero entries of free rows and
-    columns and puts 1.0 on the diagonal of each constrained row: for a
-    canonical A, bit for bit the canonical ``P @ A @ P + diag(pinned)``.
+    columns and relabels their columns; a row gather and one transposition
+    put them in factor order, and each constrained dof gets its 1.0 on the
+    diagonal.  For a canonical A the result is bit for bit
+    ``C[order][:, order].tocsc()`` with C the canonical
+    ``P @ A @ P + diag(pinned)``.  ``order`` must be a permutation of the rows.
     """
     A = sparse.csr_matrix(A)
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
-    free = np.ones(A.shape[0], dtype=bool)
+    n = A.shape[0]
+    free = np.ones(n, dtype=bool)
     free[dofs] = False
-    keep = np.repeat(free, np.diff(A.indptr)) & free[A.indices] & (A.data != 0)
-    at = np.flatnonzero(keep)
-    kept_before = np.searchsorted(at, A.indptr)
-    # a constrained row keeps no entry of A: its one entry is the 1.0 on the diagonal
-    pinned = np.flatnonzero(~free)
-    indices = np.insert(A.indices[at], kept_before[pinned], pinned.astype(A.indices.dtype))
-    data = np.insert(A.data[at], kept_before[pinned], 1.0)
-    indptr = kept_before + np.concatenate([[0], np.cumsum(~free)])
-    return sparse.csr_matrix((data, indices, indptr.astype(A.indptr.dtype)), shape=A.shape)
+    position = np.empty(n, dtype=A.indices.dtype)
+    position[order] = np.arange(n, dtype=A.indices.dtype)
+    keep = np.repeat(free, np.diff(A.indptr))
+    keep &= free[A.indices]
+    keep &= A.data != 0
+    indptr = np.concatenate([[0], np.cumsum(keep)])[A.indptr].astype(A.indptr.dtype)
+    B = sparse.csr_matrix((A.data[keep], position[A.indices[keep]], indptr),
+                          shape=A.shape)[order].tocsc()
+    # a constrained column of B keeps no entry of A: its one entry is the 1.0
+    # on the diagonal
+    pinned = ~free[order]
+    at = B.indptr[:-1][pinned]
+    rows = np.flatnonzero(pinned).astype(B.indices.dtype)
+    indptr = B.indptr + np.concatenate([[0], np.cumsum(pinned)]).astype(B.indptr.dtype)
+    return sparse.csc_matrix((np.insert(B.data, at, 1.0), np.insert(B.indices, at, rows), indptr),
+                             shape=A.shape)
 
 
 def constrain_rhs(columns: sparse.spmatrix, b: np.ndarray, dofs: np.ndarray,
@@ -292,4 +305,6 @@ def dirichlet_columns(A: sparse.spmatrix, dofs: np.ndarray) -> sparse.csc_matrix
 
 def export_matrix(A: sparse.spmatrix, path: str) -> None:
     """Write a matrix in Matrix Market coordinate format."""
+    import scipy.io  # here, so that importing the package loads no file readers
+
     scipy.io.mmwrite(path, sparse.coo_matrix(A))

@@ -74,14 +74,22 @@ class BiotState:
 
 
 class _ConstrainedSolver:
-    """One block system: raw matrix, Dirichlet dofs, reusable factorization
-    in the symmetric order ``order``."""
+    """One block system of a ``DiscreteSystem``: its Dirichlet dofs and
+    boundary columns, and its factorization in the system's nested-dissection
+    order.
 
-    def __init__(self, matrix: sparse.csr_matrix, dofs: np.ndarray, order: np.ndarray):
-        self.dofs = dofs
-        self.matrix = constrain_matrix(matrix, dofs)
-        self._bc_cols = dirichlet_columns(matrix, dofs)
-        self.fact: Factorization = lu_factor(self.matrix, order)
+    The raw matrix is built here and dropped before factoring, so the
+    factored matrix, which the factorization keeps for its residuals, is the
+    only copy of the system that stays alive.
+    """
+
+    def __init__(self, system: DiscreteSystem, name: str):
+        matrix, self.dofs = system._block(name)
+        order = system.discretization.orders[name]
+        self._bc_cols = dirichlet_columns(matrix, self.dofs)
+        constrained = constrain_matrix(matrix, self.dofs, order)
+        del matrix
+        self.fact: Factorization = lu_factor(constrained, order)
 
     def solve(self, b_raw: np.ndarray, bc_values: np.ndarray) -> np.ndarray:
         return self.fact.solve(constrain_rhs(self._bc_cols, b_raw, self.dofs, bc_values))
@@ -217,8 +225,7 @@ class DiscreteSystem:
     def solver(self, name: str) -> _ConstrainedSolver:
         """The factored ``coupled``, ``stokes``, ``pressure`` or ``mass`` system."""
         if name not in self._solvers:
-            order = self.discretization.orders[name]
-            self._solvers[name] = _ConstrainedSolver(*self._block(name), order)
+            self._solvers[name] = _ConstrainedSolver(self, name)
         return self._solvers[name]
 
     # -- norms and diagnostics --------------------------------------------

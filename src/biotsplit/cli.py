@@ -277,8 +277,9 @@ def run(config: RunConfig) -> int:
     if config.dump_matrix:
         system = build_system(build_uniform(config.n0), case.params,
                               benchmark_loads(case))
-        _write_artifact(export_matrix, constrain_matrix(*system._block("coupled")),
-                        config.dump_matrix)
+        A, dofs = system._block("coupled")
+        natural = constrain_matrix(A, dofs, np.arange(A.shape[0])).tocsr()
+        _write_artifact(export_matrix, natural, config.dump_matrix)
 
     return 0 if not failures else 1
 

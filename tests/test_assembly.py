@@ -255,7 +255,7 @@ def test_constrain_matrix_pins_and_stays_symmetric():
     space = Space(build_uniform(3), "p2")
     K = assemble_form(P_STIFFNESS, space, space)
     dofs = space.boundary_scalar_dofs((1, 3))
-    C = constrain_matrix(K, dofs).toarray()
+    C = constrain_matrix(K, dofs, np.arange(space.num_dofs)).toarray()
     np.testing.assert_allclose(C, C.T, atol=1e-14)
     np.testing.assert_allclose(C[np.ix_(dofs, dofs)], np.eye(dofs.size), atol=1e-15)
     free = np.setdiff1d(np.arange(space.num_dofs), dofs)
@@ -268,10 +268,10 @@ def test_apply_dirichlet_reproduces_linear_solution():
     space = Space(mesh, "p2")
     K = assemble_form(P_STIFFNESS, space, space)
     dofs = space.boundary_scalar_dofs((1, 3))
-    A = constrain_matrix(K, dofs)
+    A = constrain_matrix(K, dofs, np.arange(space.num_dofs))
     b = constrain_rhs(dirichlet_columns(K, dofs), np.zeros(space.num_dofs), dofs,
                       interpolate(space, lambda x, y: x).values[dofs])
-    u = spla.spsolve(A.tocsc(), b)
+    u = spla.spsolve(A, b)
     np.testing.assert_allclose(u, space.dof_coords()[:, 0], atol=1e-12)
 
 
@@ -478,8 +478,12 @@ def assert_same_bits(got, expect):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def assert_eliminates_like_the_formulas(A, dofs):
-    assert_same_bits(constrain_matrix(A, dofs), product_elimination(A, dofs))
+def assert_eliminates_like_the_formulas(A, dofs, order):
+    expect = product_elimination(A, dofs)
+    assert_same_bits(constrain_matrix(A, dofs, order), expect[order][:, order].tocsc())
+    # in the natural order it is the matrix that --dump-matrix writes
+    natural = constrain_matrix(A, dofs, np.arange(A.shape[0]))
+    assert_same_bits(natural.tocsr(), expect)
     columns, expect = dirichlet_columns(A, dofs), sparse.csc_matrix(A)[:, dofs]
     assert_same_bits(columns, expect)
     values = np.random.default_rng(3).standard_normal(len(dofs))
@@ -490,7 +494,7 @@ def assert_eliminates_like_the_formulas(A, dofs):
 def test_one_pass_elimination_matches_the_formulas(distorted, name):
     case = make_case("nu03")
     system = build_system(distorted, case.params, benchmark_loads(case))
-    assert_eliminates_like_the_formulas(*system._block(name))
+    assert_eliminates_like_the_formulas(*system._block(name), system.discretization.orders[name])
 
 
 def test_one_pass_elimination_without_a_stored_diagonal():
@@ -501,7 +505,30 @@ def test_one_pass_elimination_without_a_stored_diagonal():
         np.array([0, 1, 3, 0, 2, 4, 1, 2, 0, 3, 4, 1, 3, 4]),
         np.array([0, 3, 6, 8, 11, 14])), shape=(5, 5))
     dofs = np.array([1, 2])
-    assert_eliminates_like_the_formulas(A, dofs)
-    C = constrain_matrix(A, dofs)
+    assert_eliminates_like_the_formulas(A, dofs, np.array([3, 1, 4, 0, 2]))
+    C = constrain_matrix(A, dofs, np.arange(5)).tocsr()
     np.testing.assert_array_equal(C.toarray()[np.ix_(dofs, dofs)], np.eye(2))
     assert C.indices[C.indptr[3]:C.indptr[4]].tolist() == [0, 4]
+
+
+@pytest.mark.parametrize("name", ["coupled", "stokes", "pressure", "mass"])
+@pytest.mark.parametrize("where", ["distorted", "uniform-16"])
+def test_superlu_gets_the_permuted_elimination(distorted, monkeypatch, where, name):
+    # the matrix handed to SuperLU is bit for bit the elimination permuted
+    # into the factor order, as the copies it replaced computed it
+    mesh = distorted if where == "distorted" else build_uniform(16)
+    case = make_case("nu03")
+    system = build_system(mesh, case.params, benchmark_loads(case))
+    factored = []
+    splu = spla.splu
+
+    def keep(A, *args, **kwargs):
+        factored.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", keep)
+    solver = system.solver(name)
+    A, dofs = system._block(name)
+    order = system.discretization.orders[name]
+    assert len(factored) == 1 and factored[0] is solver.fact.matrix
+    assert_same_bits(factored[0], product_elimination(A, dofs)[order][:, order].tocsc())

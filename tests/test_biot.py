@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from biotsplit import biot
-from biotsplit.benchmark import homogeneous_loads, make_case, run_study
+from biotsplit.benchmark import (benchmark_loads, homogeneous_loads, initial_state, make_case,
+                                 run_study)
 from biotsplit.biot import (
     ConvergenceFailure,
     LoadSet,
@@ -116,6 +117,34 @@ def test_vanishing_storage_still_contracts(c00_system, c00_initial):
     errors = report.xi_errors
     assert (np.diff(errors) <= 1e-12 * report.scale).all()
     assert errors[-1] <= 1e-4 * errors[0]
+
+
+def sweep_counts(mesh, case, steps, tol):
+    """Sweeps of each ``tol``-mode step, and each step's bound
+    1 + log(tol / first increment) / log(rho)."""
+    system = build_system(mesh, case.params, benchmark_loads(case))
+    state = initial_state(system, case)
+    counts, bounds = [], []
+    for _ in range(steps):
+        state, increments = step_iterative(system, state, tol=tol)
+        counts.append(len(increments))
+        bounds.append(1 + math.log(tol / increments[0]) / math.log(case.params.contraction_factor))
+    return counts, bounds
+
+
+#: Largest difference of the per-step sweep counts between 1/h = 16 and 32,
+#: fixed from the measured counts 20, 19, 19 and 17, 19, 19.
+SWEEP_COUNT_MARGIN = 3
+
+
+def test_sweep_count_does_not_grow_with_refinement(nu03_case):
+    # the split iteration contracts by rho = 26/41 whatever the mesh, so a
+    # finer mesh needs no more sweeps per step to reach the same tolerance
+    coarse, coarse_bounds = sweep_counts(build_uniform(16), nu03_case, 3, 1e-10)
+    fine, fine_bounds = sweep_counts(refine(build_uniform(16)), nu03_case, 3, 1e-10)
+    assert all(abs(a - b) <= SWEEP_COUNT_MARGIN for a, b in zip(coarse, fine)), (coarse, fine)
+    for count, bound in zip(coarse + fine, coarse_bounds + fine_bounds):
+        assert count <= bound, (coarse, coarse_bounds, fine, fine_bounds)
 
 
 def test_energy_identity_along_coupled_trajectory(nu03_case):

@@ -1,4 +1,6 @@
 """Direct solver contracts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -14,17 +16,17 @@ from biotsplit.mesh import TriMesh, build_uniform, dissection_keys, refine
 
 def random_spd(n, rng):
     B = rng.standard_normal((n, n))
-    return sparse.csr_matrix(B @ B.T + n * np.eye(n))
+    return sparse.csc_matrix(B @ B.T + n * np.eye(n))
 
 
 def test_lu_identity():
-    fact = lu_factor(sparse.eye(5, format="csr"), np.arange(5))
+    fact = lu_factor(sparse.eye(5, format="csc"), np.arange(5))
     b = np.arange(5.0)
     np.testing.assert_allclose(fact.solve(b), b, atol=1e-15)
 
 
 def test_lu_two_by_two():
-    A = sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    A = sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     x = lu_factor(A, np.arange(2)).solve(np.array([3.0, 3.0]))
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
@@ -32,7 +34,8 @@ def test_lu_two_by_two():
 def test_lu_random_spd_residual(rng):
     A = random_spd(40, rng)
     b = rng.standard_normal(40)
-    fact = lu_factor(A, rng.permutation(40))
+    order = rng.permutation(40)
+    fact = lu_factor(A[order][:, order].tocsc(), order)
     x = fact.solve(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-11
     assert fact.num_solves == 1
@@ -41,7 +44,13 @@ def test_lu_random_spd_residual(rng):
 
 def test_lu_rejects_nonsquare():
     with pytest.raises(ValueError):
-        lu_factor(sparse.csr_matrix(np.ones((2, 3))), np.arange(2))
+        lu_factor(sparse.csc_matrix(np.ones((2, 3))), np.arange(2))
+
+
+def test_lu_takes_only_csc(rng):
+    # any other format would reach SuperLU only through a hidden copy
+    with pytest.raises(ValueError, match="CSC"):
+        lu_factor(random_spd(4, rng).tocsr(), np.arange(4))
 
 
 @pytest.mark.parametrize("order", [
@@ -61,22 +70,26 @@ def test_lu_names_empty_row_and_column():
     A = np.eye(4)
     A[2, 2] = 0.0
     with pytest.raises(SingularMatrixError, match="row 2"):
-        lu_factor(sparse.csr_matrix(A), np.arange(4))
+        lu_factor(sparse.csc_matrix(A), np.arange(4))
+    # named by their index in the system, not in the factor order
+    order = np.array([3, 2, 0, 1])
+    with pytest.raises(SingularMatrixError, match="row 2"):
+        lu_factor(sparse.csc_matrix(A[np.ix_(order, order)]), order)
     B = np.zeros((3, 3))
     B[0, 0] = B[1, 1] = 1.0
     B[0, 2] = 1.0  # row 2 empty stays reported first; make column 2 nonempty
     with pytest.raises(SingularMatrixError, match="row 2"):
-        lu_factor(sparse.csr_matrix(B), np.arange(3))
+        lu_factor(sparse.csc_matrix(B), np.arange(3))
     C = np.zeros((3, 3))
     C[0, 0] = C[1, 1] = 1.0
     C[2, 0] = 1.0  # rows all nonempty, column 2 empty
     with pytest.raises(SingularMatrixError, match="column 2"):
-        lu_factor(sparse.csr_matrix(C), np.arange(3))
+        lu_factor(sparse.csc_matrix(C), np.arange(3))
 
 
 def test_lu_numerically_singular():
     # structurally full but rank-deficient
-    A = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    A = sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
         lu_factor(A, np.arange(2))
 
@@ -98,7 +111,7 @@ def permuted_nonsymmetric(rng):
     # diagonal entries are structurally zero, so pivots must leave the diagonal
     n = 60
     D = sparse.random(n, n, density=0.1, random_state=rng) + 10.0 * sparse.eye(n)
-    return sparse.csr_matrix(sparse.eye(n, format="csr")[rng.permutation(n)] @ D)
+    return sparse.csc_matrix(sparse.eye(n, format="csr")[rng.permutation(n)] @ D)
 
 
 def coupled_swap_blocks(rng):
@@ -106,7 +119,7 @@ def coupled_swap_blocks(rng):
     k = 30
     swap = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     chain = sparse.diags([np.ones(k - 1), np.ones(k - 1)], [-1, 1])
-    return sparse.csr_matrix(sparse.kron(sparse.eye(k), swap)
+    return sparse.csc_matrix(sparse.kron(sparse.eye(k), swap)
                              + 0.1 * sparse.kron(chain, sparse.eye(2)))
 
 
@@ -134,9 +147,10 @@ def systems_32(request):
 def test_lu_fill_is_below_colamd(systems_32, name, bound):
     # the symmetric order keeps its fill only with diagonal pivots; a pivot
     # threshold of 1e-2 already leaves the diagonal on nu0499 and loses it
-    A = constrain_matrix(*systems_32._block(name))
-    fact = lu_factor(A, systems_32.discretization.orders[name])
-    colamd = spla.splu(A.tocsc(), permc_spec="COLAMD")
+    A, dofs = systems_32._block(name)
+    order = systems_32.discretization.orders[name]
+    fact = lu_factor(constrain_matrix(A, dofs, order), order)
+    colamd = spla.splu(constrain_matrix(A, dofs, np.arange(A.shape[0])), permc_spec="COLAMD")
     assert _fill(fact._lu) <= bound * _fill(colamd)
     b = np.ones(A.shape[0])
     fact.solve(b)
@@ -149,8 +163,9 @@ def test_coupled_fill_at_64_is_below_the_minimum_degree_fill():
     case = make_case("nu03")
     system = build_system(refine(refine(build_uniform(16))), case.params,
                           benchmark_loads(case))
-    A = constrain_matrix(*system._block("coupled"))
-    fact = lu_factor(A, system.discretization.orders["coupled"])
+    A, dofs = system._block("coupled")
+    order = system.discretization.orders["coupled"]
+    fact = lu_factor(constrain_matrix(A, dofs, order), order)
     assert _fill(fact._lu) <= 0.8 * 13.38e6
     fact.solve(np.ones(A.shape[0]))
     assert fact.max_rel_residual < 1e-11
@@ -262,3 +277,28 @@ def test_run_study_names_out_of_memory(monkeypatch):
     monkeypatch.setattr(linalg.spla, "splu", _splu_raising(exc))
     with pytest.raises(RuntimeError, match=r"level 1 \(1/h=4\) failed: .*out of memory"):
         run_study("coupled", make_case("nu03", T=1e-3), levels=2, n0=4)
+
+
+def test_splu_gets_the_only_copy_of_the_system(monkeypatch):
+    # the raw and the natural-order constrained matrix are gone when SuperLU
+    # starts: the numpy memory allocated since the system was built is the
+    # factored matrix and a few vectors of its dimension
+    case = make_case("nu03")
+    system = build_system(build_uniform(32), case.params, benchmark_loads(case))
+    seen = {}
+    splu = spla.splu
+
+    def probe(A, *args, **kwargs):
+        numpy_domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        traces = tracemalloc.take_snapshot().filter_traces([numpy_domain]).traces
+        seen["live"] = sum(trace.size for trace in traces)
+        seen["matrix"] = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", probe)
+    tracemalloc.start()
+    try:
+        system.solver("stokes")
+    finally:
+        tracemalloc.stop()
+    assert seen["live"] <= 1.2 * seen["matrix"]
