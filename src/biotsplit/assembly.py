@@ -10,7 +10,7 @@ element order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sparse
@@ -49,9 +49,9 @@ class PhysParams:
     lam: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("E", "nu", "alpha", "c0", "K", "dt", "T"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
+        for f in fields(self):
+            if f.init and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {f.name}={getattr(self, f.name)}")
         if self.E <= 0:
             raise ValueError(f"Young modulus must be positive, got E={self.E}")
         if not 0.0 < self.nu < 0.5:

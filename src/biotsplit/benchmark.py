@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,13 +40,9 @@ PI = math.pi
 
 def make_case(preset: str | None = None, **overrides) -> "ManufacturedCase":
     """Build a case from a preset name and/or explicit parameter overrides."""
-    values = dict(E=1.0, alpha=1.0, dt=1e-3, T=0.01)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
-        values.update(PRESETS[preset])
-    values.update(overrides)
-    return ManufacturedCase(PhysParams(**values))
+    if preset is not None and preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
+    return ManufacturedCase(PhysParams(**{**PRESETS.get(preset, {}), **overrides}))
 
 
 @dataclass(frozen=True)
@@ -329,12 +325,10 @@ def study_csv(study: StudyResult) -> str:
 def study_report(study: StudyResult, config_echo: dict | None = None,
                  checks: dict | None = None, failures: list | None = None) -> dict:
     """JSON-ready report with full run metadata and solver statistics."""
-    p = study.case.params
     rates = study.rates()
     return {
         "algorithm": study.algorithm,
-        "params": {k: getattr(p, k)
-                   for k in ("E", "nu", "alpha", "c0", "K", "dt", "T", "mu", "lam")},
+        "params": asdict(study.case.params),
         "mesh": {"family": "uniform", "cell_split": CELL_SPLIT},
         "iter": study.iters,
         "tol": study.tol,

@@ -288,7 +288,7 @@ def step_coupled(sys: DiscreteSystem, state: BiotState) -> BiotState:
     p = sys.params
     t = state.t + p.dt
     tf = sys.loads.time_factor(t)
-    nv, nw = sys.offsets[1], sys.offsets[2] - sys.offsets[1]
+    nw = sys.offsets[2] - sys.offsets[1]
     b = np.concatenate([
         tf * sys.fu_profile,
         np.zeros(nw),
@@ -346,7 +346,8 @@ def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = No
     xi_prev_step)) with the Stokes solve, starting from the previous time
     level.  Exactly one of ``iters`` (fixed count) or ``tol`` (stop when the
     total-pressure increment drops below it, within ``MAX_SWEEPS`` sweeps)
-    must be given.
+    must be given; ``tol`` mode raises ``ConvergenceFailure`` when the budget
+    runs out or an increment is not finite.
 
     Returns (state_n, increments) where increments[i] is the L2 norm of
     xi^{n,i+1} - xi^{n,i}.
@@ -358,6 +359,10 @@ def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = No
     for it_state in islice(_split_sweeps(sys, state), budget):
         increments.append(sys.l2_p1(it_state.xi.values - xi_i))
         xi_i = it_state.xi.values
+        if tol is not None and not math.isfinite(increments[-1]):
+            raise ConvergenceFailure(
+                f"decoupling increment is not finite ({increments[-1]}) at "
+                f"iteration {len(increments)}", increments)
         if tol is not None and increments[-1] <= tol:
             break
     else:
@@ -383,7 +388,8 @@ def _split_sweeps(sys: DiscreteSystem, state: BiotState) -> Iterator[BiotState]:
 
 
 class ConvergenceFailure(RuntimeError):
-    """Tol-mode iteration ran out of budget; carries the increment history."""
+    """Tol-mode iteration ran out of budget or met a non-finite increment;
+    carries the increment history."""
 
     def __init__(self, message, history):
         super().__init__(message)
@@ -448,11 +454,6 @@ class ContractionReport:
     @property
     def max_ratio(self) -> float:
         return float(self.ratios.max()) if len(self.ratios) else 0.0
-
-    def power_bound_margins(self) -> np.ndarray:
-        """rho^i * ||e_xi^0|| - ||e_xi^i|| for i >= 1 (nonnegative iff bound holds)."""
-        i = np.arange(1, len(self.xi_errors))
-        return self.rho ** i * self.xi_errors[0] - self.xi_errors[1:]
 
     def pressure_bound_ok(self) -> bool:
         """||e_p^i|| <= (rho/alpha) ||e_xi^{i-1}|| per iteration."""

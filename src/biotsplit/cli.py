@@ -7,21 +7,22 @@ Usage sketch::
     biotsplit --preset nu03 --check contraction --check energy
 
 Exit status is 0 when the study ran and every requested check passed, 1 when
-a check failed or a level failed to solve, and 2 for a configuration error.
-A flat key=value config file (--config) supplies defaults; explicit flags
-override it.  The effective configuration is echoed verbatim into the JSON
-report.
+a check failed or a level failed to solve, and 2 for a configuration error,
+reported as one ``error:`` line.  The argument parser is the one declaration
+of the run settings: a flat ``key = value`` config file (--config) is read as
+the flags ``--key=value`` ahead of the command line, so explicit flags
+override it.  The parser checks each setting's type; the library checks its
+value.  The effective configuration is echoed verbatim into the JSON report.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import fields
 
 import numpy as np
 
-from .assembly import constrain_matrix, export_matrix
+from .assembly import PhysParams, constrain_matrix, export_matrix
 from .benchmark import (PRESETS, benchmark_loads, homogeneous_loads, initial_state,
                         make_case, run_study, study_csv, study_report, write_csv,
                         write_json)
@@ -37,78 +38,24 @@ RATE_FLOORS = {"l2_u": 1.8, "h1_u": 1.8, "l2_xi": 1.8, "h1_xi": 0.9,
                "l2_p": 1.8, "h1_p": 0.9}
 
 
-@dataclass
-class RunConfig:
-    algorithm: str = "coupled"
-    preset: Optional[str] = None
-    E: Optional[float] = None
-    nu: Optional[float] = None
-    alpha: Optional[float] = None
-    c0: Optional[float] = None
-    K: Optional[float] = None
-    dt: Optional[float] = None
-    T: Optional[float] = None
-    n0: int = 16
-    levels: int = 4
-    iter: Optional[int] = None
-    tol: Optional[float] = None
-    checks: tuple = ()
-    out_csv: Optional[str] = None
-    out_json: Optional[str] = None
-    dump_matrix: Optional[str] = None
-
-
 class ConfigError(ValueError):
     pass
 
 
-_FLOAT_KEYS = ("E", "nu", "alpha", "c0", "K", "dt", "T", "tol")
-_INT_KEYS = ("n0", "levels", "iter")
-_STR_KEYS = ("algorithm", "preset", "out_csv", "out_json", "dump_matrix")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _parse_file(path: str) -> dict:
-    """Flat key=value config file; '#' starts a comment; unknown keys rejected."""
-    values = {}
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        try:
-            if key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _STR_KEYS:
-                values[key] = value
-            elif key == "check":
-                values["checks"] = tuple(v.strip() for v in value.split(",") if v.strip())
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return values
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="biotsplit",
+def _build_parser() -> _Parser:
+    p = _Parser(
+        prog="biotsplit", allow_abbrev=False,
         description="Convergence benchmark and self-checks for the three-field "
                     "poroelasticity solver (coupled / time-extrapolated / "
                     "iteratively decoupled).")
-    p.add_argument("--algorithm", choices=tuple(STEPPERS))
-    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--algorithm", default="coupled",
+                   help=f"one of {', '.join(STEPPERS)} (default coupled)")
+    p.add_argument("--preset", help=f"parameter preset, one of {', '.join(sorted(PRESETS))}")
     p.add_argument("--E", type=float, help="Young's modulus")
     p.add_argument("--nu", type=float, help="Poisson ratio, in (0, 0.5)")
     p.add_argument("--alpha", type=float, help="Biot-Willis coefficient")
@@ -116,8 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=float, help="permeability, > 0")
     p.add_argument("--dt", type=float, help="time step")
     p.add_argument("--T", type=float, help="final time")
-    p.add_argument("--n0", type=int, help="initial cells per side (default 16)")
-    p.add_argument("--levels", type=int, help="number of mesh levels (default 4)")
+    p.add_argument("--n0", type=int, default=16, help="initial cells per side (default 16)")
+    p.add_argument("--levels", type=int, default=4,
+                   help="number of mesh levels (default 4)")
     p.add_argument("--iter", type=int, help="fixed iteration count (iterative)")
     p.add_argument("--tol", type=float, help="increment tolerance (iterative)")
     p.add_argument("--check", action="append", choices=CHECK_NAMES, dest="checks",
@@ -130,32 +78,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_config(argv) -> RunConfig:
-    """Merge defaults < config file < explicit flags into a RunConfig."""
-    ns = _build_parser().parse_args(argv)
-    config = RunConfig()
-    if ns.config:
-        for key, value in _parse_file(ns.config).items():
-            setattr(config, key, value)
-    for key in (*_FLOAT_KEYS, *_INT_KEYS, *_STR_KEYS):
-        value = getattr(ns, key)
-        if value is not None:
-            setattr(config, key, value)
-    config.checks = tuple(dict.fromkeys((*config.checks, *(ns.checks or ()))))
-    for check in config.checks:
-        if check not in CHECK_NAMES:
-            raise ConfigError(f"unknown check {check!r} (have {CHECK_NAMES})")
-    if config.n0 < 1:
-        raise ConfigError(f"--n0 must be >= 1, got {config.n0}")
-    if config.levels < 2:
-        raise ConfigError(f"--levels must be >= 2 (rates need two levels), "
-                          f"got {config.levels}")
+def _file_args(parser: _Parser, path: str) -> list:
+    """The lines of a config file as flags: ``key = value`` is ``--key=value``
+    with '_' for '-' in the key, and ``check = a, b`` is two ``--check``;
+    '#' starts a comment.  Each line is checked by ``parser`` on its own, so
+    an error names its file and line."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    args = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        values = value.replace(",", " ").split() if key == "check" else [value]
+        line_args = [f"--{key.replace('_', '-')}={v}" for v in values]
+        try:
+            if "-" in key or key == "config" or parser.parse_known_args(line_args)[1]:
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        args += line_args
+    return args
+
+
+def parse_config(argv) -> argparse.Namespace:
+    """Parse defaults < config file < explicit flags into the run settings."""
+    parser = _build_parser()
+    config = parser.parse_args(argv)
+    if config.config:
+        config = parser.parse_args([*_file_args(parser, config.config), *argv])
+    del config.config
+    config.checks = tuple(dict.fromkeys(config.checks or ()))
     return config
 
 
-def _effective_case(config: RunConfig):
-    overrides = {k: getattr(config, k) for k in ("E", "nu", "alpha", "c0", "K", "dt", "T")
-                 if getattr(config, k) is not None}
+def _effective_case(config: argparse.Namespace):
+    overrides = {f.name: getattr(config, f.name) for f in fields(PhysParams)
+                 if f.init and getattr(config, f.name) is not None}
     return make_case(config.preset, **overrides)
 
 
@@ -224,7 +189,7 @@ def _check_korn(case, n0: int) -> tuple[bool, dict]:
     return ok, detail
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute the configured study and checks; write reports; return exit code."""
     try:
         case = _effective_case(config)
@@ -232,14 +197,9 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    iters = config.iter
-    if config.algorithm == "iterative" and iters is None and config.tol is None:
-        print("error: iterative algorithm needs --iter or --tol", file=sys.stderr)
-        return 2
-
     try:
         study = run_study(config.algorithm, case, config.levels, n0=config.n0,
-                          iters=iters, tol=config.tol)
+                          iters=config.iter, tol=config.tol)
     except ValueError as exc:  # the settings, rejected before any level runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -271,7 +231,7 @@ def run(config: RunConfig) -> int:
     if config.out_csv:
         _write_artifact(write_csv, study, config.out_csv)
     if config.out_json:
-        report = study_report(study, config_echo=asdict(config), checks=checks,
+        report = study_report(study, config_echo=vars(config), checks=checks,
                               failures=failures)
         _write_artifact(write_json, report, config.out_json)
     if config.dump_matrix:

@@ -19,7 +19,6 @@ P1 = "p1"
 P2 = "p2"
 P2_VECTOR = "p2-vector"
 
-_SCALAR_KINDS = (P1, P2)
 _KINDS = (P1, P2, P2_VECTOR)
 
 

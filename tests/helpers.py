@@ -1,6 +1,6 @@
 """Reference computations that only the tests use: mesh geometry, point
-evaluation of a finite-element field, and the strong-form residual of the
-manufactured solution."""
+evaluation of a finite-element field, the strong-form residual of the
+manufactured solution, and the power bound of the split iteration."""
 import numpy as np
 
 from biotsplit.benchmark import PI
@@ -75,3 +75,10 @@ def strong_form_residual(case, x, y, t):
     r_mass = tf * (-(p.c0 * case.p_profile(x, y) + p.alpha * case.div_u_profile(x, y))
                    - p.K * lap_p - case.mass_source_profile(x, y))
     return r_mom1, r_mom2, r_mass
+
+
+def power_bound_margins(report) -> np.ndarray:
+    """rho^i * ||e_xi^0|| - ||e_xi^i|| for i >= 1 of a ``ContractionReport``
+    (nonnegative iff the bound holds)."""
+    i = np.arange(1, len(report.xi_errors))
+    return report.rho ** i * report.xi_errors[0] - report.xi_errors[1:]

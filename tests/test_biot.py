@@ -22,6 +22,8 @@ from biotsplit.biot import (
 )
 from biotsplit.mesh import TriMesh, build_uniform, refine
 
+from helpers import power_bound_margins
+
 
 def zero_state(system):
     return system.state(np.zeros(system.V.num_dofs), np.zeros(system.M.num_dofs),
@@ -90,6 +92,15 @@ def test_unreachable_tolerance_raises(small_system, small_initial, monkeypatch):
     assert info.value.history[-1] > 1e-3
 
 
+def test_non_finite_increment_stops_tol_mode_at_once(nu03_case):
+    # a NaN source makes the first increment NaN; no later sweep can reach tol
+    loads = LoadSet(mass_source=lambda x, y: np.full_like(x, np.nan))
+    system = build_system(build_uniform(4), nu03_case.params, loads)
+    with pytest.raises(ConvergenceFailure, match="not finite") as info:
+        step_iterative(system, zero_state(system), tol=1e-10)
+    assert len(info.value.history) == 1
+
+
 def test_advance_keep_states(small_system, small_initial):
     states = advance(small_system, small_initial, 3, "coupled", keep_states=True)
     assert len(states) == 4
@@ -103,7 +114,7 @@ def test_contraction_ratios_stay_below_rho(small_system, small_initial):
     report = contraction_monitor(small_system, small_initial, imax=10)
     assert report.rho == pytest.approx(26 / 41, abs=1e-15)
     assert report.max_ratio <= report.rho * (1 + 1e-9)
-    assert (report.power_bound_margins() >= -1e-12 * report.scale).all()
+    assert (power_bound_margins(report) >= -1e-12 * report.scale).all()
     assert report.pressure_bound_ok()
     assert report.strain_bound_ok()
 

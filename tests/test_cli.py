@@ -8,7 +8,7 @@ import pytest
 import scipy.io
 
 from biotsplit import biot, cli
-from biotsplit.benchmark import make_case, write_json
+from biotsplit.benchmark import PRESETS, make_case, write_json
 from biotsplit.cli import (CHECK_NAMES, RATE_FLOORS, ConfigError, _check_contraction,
                            _check_rates, main, parse_config)
 
@@ -76,6 +76,48 @@ def test_unknown_check_in_config_rejected(tmp_path):
     assert main(["--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key", ["lev", "out-csv", "config"])
+def test_config_key_must_name_a_setting_exactly(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n0 = 4\n{key} = 3\n")
+    with pytest.raises(ConfigError, match=rf"bad\.cfg:2: unknown key '{key}'"):
+        parse_config(["--config", str(cfg)])
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("error:") == 1
+
+
+def test_config_file_and_flags_give_the_same_settings(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algorithm = iterative\npreset = c00\nE = 2\nnu = 0.25\nalpha = 0.5\n"
+                   "c0 = 0.1\nK = 3\ndt = 2e-3\nT = 4e-3\nn0 = 4\nlevels = 3\n"
+                   "iter = 5\ntol = 1e-9\ncheck = korn, rates\nout_csv = t.csv\n"
+                   "out_json = r.json\ndump_matrix = m.mtx\n")
+    flags = ["--algorithm", "iterative", "--preset", "c00", "--E", "2", "--nu", "0.25",
+             "--alpha", "0.5", "--c0", "0.1", "--K", "3", "--dt", "2e-3", "--T", "4e-3",
+             "--n0", "4", "--levels", "3", "--iter", "5", "--tol", "1e-9",
+             "--check", "korn", "--check", "rates", "--out-csv", "t.csv",
+             "--out-json", "r.json", "--dump-matrix", "m.mtx"]
+    assert vars(parse_config(["--config", str(cfg)])) == vars(parse_config(flags))
+
+
+@pytest.mark.parametrize("flags", [["--dt", "fast"], ["--check", "vibes"],
+                                   ["--algorithm", "adi"], ["--lev", "3"]],
+                         ids=["dt", "check", "algorithm", "abbreviation"])
+def test_bad_flag_is_one_error_line_and_exit_2(capsys, flags):
+    assert main(TINY + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_help_names_every_algorithm_preset_and_check(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    for name in (*biot.STEPPERS, *PRESETS, *CHECK_NAMES):
+        assert name in text, name
+
+
 @pytest.mark.parametrize("line, message", [("algorithm = adi", "unknown algorithm 'adi'"),
                                            ("preset = nope", "unknown preset 'nope'")],
                          ids=["algorithm", "preset"])
@@ -86,9 +128,9 @@ def test_unknown_algorithm_or_preset_in_config_exits_2(tmp_path, capsys, line, m
     assert message in capsys.readouterr().err
 
 
-def test_levels_floor_enforced():
-    with pytest.raises(ConfigError, match="levels"):
-        parse_config(["--levels", "1"])
+def test_levels_floor_enforced(capsys):
+    assert main(["--preset", "nu03", "--n0", "4", "--levels", "1"]) == 2
+    assert "levels" in capsys.readouterr().err
 
 
 def test_invalid_physical_parameter_exits_2(capsys):
@@ -113,7 +155,7 @@ def test_nan_rate_fails_rate_check():
 
 def test_iterative_needs_iter_or_tol(capsys):
     assert main(TINY + ["--algorithm", "iterative"]) == 2
-    assert "--iter or --tol" in capsys.readouterr().err
+    assert "exactly one of iters or tol" in capsys.readouterr().err
     for flags in (["--iter", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
                   ["--iter", "3", "--tol", "1e-8"]):
         assert main(TINY + ["--algorithm", "iterative", *flags]) == 2, flags
@@ -134,6 +176,9 @@ def test_tiny_run_writes_csv_and_json(tmp_path, capsys):
     report = json.loads(json_path.read_text())
     assert report["algorithm"] == "coupled"
     assert report["config"]["preset"] == "nu03"
+    assert sorted(report["config"]) == sorted(
+        ["algorithm", "preset", "E", "nu", "alpha", "c0", "K", "dt", "T", "n0", "levels",
+         "iter", "tol", "checks", "out_csv", "out_json", "dump_matrix"])
     assert len(report["levels"]) == 2
     assert report["solver"]["tainted"] is False
 
