@@ -16,7 +16,7 @@ studies; ``cli`` exposes the ``biotsplit`` command-line entry point.
 """
 
 from .mesh import TriMesh, build_uniform, refine
-from .fem import Space, FieldVector, interpolate, quadrature
+from .fem import Space, interpolate, quadrature
 from .assembly import PhysParams, assemble_form, assemble_functional, export_matrix
 from .linalg import SingularMatrixError, lu_factor
 from .biot import (
@@ -57,7 +57,6 @@ __all__ = [
     "DiscreteSystem",
     "EnergyReport",
     "ErrorSet",
-    "FieldVector",
     "LoadSet",
     "ManufacturedCase",
     "PRESETS",

@@ -304,7 +304,10 @@ def dirichlet_columns(A: sparse.spmatrix, dofs: np.ndarray) -> sparse.csc_matrix
 
 
 def export_matrix(A: sparse.spmatrix, path: str) -> None:
-    """Write a matrix in Matrix Market coordinate format."""
+    """Write a matrix in Matrix Market coordinate format to ``path``, with
+    ``.mtx`` appended as ``scipy.io.mmwrite`` appends it.  The file is opened
+    here, because ``mmwrite`` writes nothing and raises nothing on a bad path."""
     import scipy.io  # here, so that importing the package loads no file readers
 
-    scipy.io.mmwrite(path, sparse.coo_matrix(A))
+    with open(path if path.endswith(".mtx") else path + ".mtx", "wb") as f:
+        scipy.io.mmwrite(f, sparse.coo_matrix(A))

@@ -185,9 +185,12 @@ class ErrorSet:
         return (self.l2_u, self.h1_u, self.l2_xi, self.h1_xi, self.l2_p, self.h1_p)
 
 
-def compute_errors(state: BiotState, case: ManufacturedCase) -> ErrorSet:
-    """Element-quadrature L2/H1 errors of (u, xi, p) against the exact fields."""
-    mesh = state.u.space.mesh
+def compute_errors(sys: DiscreteSystem, state: BiotState, case: ManufacturedCase) -> ErrorSet:
+    """Element-quadrature L2/H1 errors of (u, xi, p) against the exact fields.
+
+    Raises ``ValueError`` if a field's length is not the dimension of its space.
+    """
+    mesh = sys.mesh
     tf = case.time_factor(state.t)
     rule = quadrature()
     _, inv_t, det = affine_maps(mesh)
@@ -195,13 +198,16 @@ def compute_errors(state: BiotState, case: ManufacturedCase) -> ErrorSet:
     weights = np.outer(det, rule.weights)
     xq, yq = physical_points(mesh, rule.points)
 
-    def errors(field, exact, grad_exact):
+    def errors(space, values, exact, grad_exact):
         # exact[c] (nt, nq) and grad_exact[c] (2, nt, nq) belong to component c
-        vals, grads_ref = eval_basis(field.space.scalar_kind, rule.points)
-        sdofs = field.space.cell_dofs()
+        if np.shape(values) != (space.num_dofs,):
+            raise ValueError(f"coefficient array has shape {np.shape(values)}, "
+                             f"space has {space.num_dofs} dofs")
+        vals, grads_ref = eval_basis(space.scalar_kind, rule.points)
+        sdofs = space.cell_dofs()
         l2sq = gradsq = 0.0
-        for c in range(field.space.components):
-            C = field.component(c)[sdofs]
+        for c, coefficients in enumerate(np.reshape(values, (space.components, -1))):
+            C = coefficients[sdofs]
             diff = C @ vals - exact[c]
             # gradients in reference coordinates (nt, nq, 2), mapped once per triangle
             grads = (C @ grads_ref.reshape(len(grads_ref), -1)).reshape(len(C), -1, 2) @ inv
@@ -210,10 +216,11 @@ def compute_errors(state: BiotState, case: ManufacturedCase) -> ErrorSet:
             gradsq += float(np.sum(weights[:, :, None] * gdiff ** 2))
         return np.sqrt(l2sq), np.sqrt(l2sq + gradsq)
 
-    l2u, h1u = errors(state.u, tf * case.u_profile(xq, yq), tf * case.grad_u_profile(xq, yq))
-    l2xi, h1xi = errors(state.xi, [tf * case.xi_profile(xq, yq)],
+    l2u, h1u = errors(sys.V, state.u, tf * case.u_profile(xq, yq),
+                      tf * case.grad_u_profile(xq, yq))
+    l2xi, h1xi = errors(sys.M, state.xi, [tf * case.xi_profile(xq, yq)],
                         [tf * case.grad_xi_profile(xq, yq)])
-    l2p, h1p = errors(state.p, [tf * case.p_profile(xq, yq)],
+    l2p, h1p = errors(sys.M, state.p, [tf * case.p_profile(xq, yq)],
                       [tf * case.grad_p_profile(xq, yq)])
     return ErrorSet(l2u, h1u, l2xi, h1xi, l2p, h1p)
 
@@ -290,7 +297,7 @@ def run_study(algorithm: str, case: ManufacturedCase, levels: int, n0: int = 16,
             raise RuntimeError(
                 f"level {level} (1/h={n0 * 2 ** (level - 1)}) failed: {exc}") from exc
         rows.append(LevelResult(level=level, inv_h=n0 * 2 ** (level - 1),
-                                errors=compute_errors(state, case),
+                                errors=compute_errors(sys, state, case),
                                 max_residual=sys.max_solver_residual(),
                                 steps=num_steps))
         if level < levels:

@@ -36,7 +36,7 @@ from .assembly import (BOUNDARY_FLUX, BOUNDARY_TRACTION, DIV_COUPLING, DIV_DIV,
                        ELASTICITY, MASS, P_STIFFNESS, VOLUME_LOAD, PhysParams,
                        assemble_form, assemble_functional, constrain_matrix,
                        constrain_rhs, dirichlet_columns)
-from .fem import P1, P2_VECTOR, FieldVector, Space, interpolate
+from .fem import P1, P2_VECTOR, Space, interpolate
 from .linalg import Factorization, lu_factor
 from .mesh import DIRICHLET_TAGS, TriMesh, dissection_keys
 
@@ -65,34 +65,14 @@ class LoadSet:
 
 @dataclass
 class BiotState:
-    """Discrete solution triple at one time level."""
+    """Discrete solution triple at one time level, as coefficient arrays: u
+    component-major on the P2 vector space ``V``, xi and p on the P1 space
+    ``M`` of its system."""
 
-    u: FieldVector
-    xi: FieldVector
-    p: FieldVector
+    u: np.ndarray
+    xi: np.ndarray
+    p: np.ndarray
     t: float
-
-
-class _ConstrainedSolver:
-    """One block system of a ``DiscreteSystem``: its Dirichlet dofs and
-    boundary columns, and its factorization in the system's nested-dissection
-    order.
-
-    The raw matrix is built here and dropped before factoring, so the
-    factored matrix, which the factorization keeps for its residuals, is the
-    only copy of the system that stays alive.
-    """
-
-    def __init__(self, system: DiscreteSystem, name: str):
-        matrix, self.dofs = system._block(name)
-        order = system.discretization.orders[name]
-        self._bc_cols = dirichlet_columns(matrix, self.dofs)
-        constrained = constrain_matrix(matrix, self.dofs, order)
-        del matrix
-        self.fact: Factorization = lu_factor(constrained, order)
-
-    def solve(self, b_raw: np.ndarray, bc_values: np.ndarray) -> np.ndarray:
-        return self.fact.solve(constrain_rhs(self._bc_cols, b_raw, self.dofs, bc_values))
 
 
 class Discretization:
@@ -164,9 +144,9 @@ class DiscreteSystem:
     ``gu_profile``/``gp_profile`` are the nodal interpolants of the
     Dirichlet profiles at ``bd_u``/``bd_p``.
 
-    Solvers are factored on first use, one per block system (see
-    ``solver``), and never shared between systems; every solve enters
-    ``max_solver_residual``.
+    Each block system is factored on its first ``solve`` and kept in
+    ``factors``; factors are never shared between systems, and every solve
+    enters ``max_solver_residual``.
     """
 
     def __init__(self, mesh: TriMesh, params: PhysParams, loads: LoadSet):
@@ -191,7 +171,8 @@ class DiscreteSystem:
 
         self.gu_profile = _nodal_values(self.V, loads.displacement_bc, self.bd_u)
         self.gp_profile = _nodal_values(self.M, loads.pressure_bc, self.bd_p)
-        self._solvers: dict[str, _ConstrainedSolver] = {}
+        self.factors: dict[str, Factorization] = {}
+        self._boundary: dict[str, tuple] = {}  # name -> (Dirichlet dofs, their columns)
 
     # -- block systems ------------------------------------------------------
 
@@ -222,11 +203,23 @@ class DiscreteSystem:
             return self.mass.tocsr(), np.array([], dtype=np.int64)
         raise ValueError(f"unknown block system {name!r}")
 
-    def solver(self, name: str) -> _ConstrainedSolver:
-        """The factored ``coupled``, ``stokes``, ``pressure`` or ``mass`` system."""
-        if name not in self._solvers:
-            self._solvers[name] = _ConstrainedSolver(self, name)
-        return self._solvers[name]
+    def solve(self, name: str, b: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Solve the ``coupled``, ``stokes``, ``pressure`` or ``mass`` system for
+        the raw right-hand side ``b`` with Dirichlet values ``values``.
+
+        The first solve builds the block, eliminates it into its factor order
+        (``discretization.orders``) and factors it, dropping the raw matrix
+        first: the factored matrix, kept for the residuals, is the one copy.
+        """
+        if name not in self.factors:
+            matrix, dofs = self._block(name)
+            order = self.discretization.orders[name]
+            self._boundary[name] = dofs, dirichlet_columns(matrix, dofs)
+            constrained = constrain_matrix(matrix, dofs, order)
+            del matrix
+            self.factors[name] = lu_factor(constrained, order)
+        dofs, columns = self._boundary[name]
+        return self.factors[name].solve(constrain_rhs(columns, b, dofs, values))
 
     # -- norms and diagnostics --------------------------------------------
 
@@ -240,7 +233,7 @@ class DiscreteSystem:
 
     def max_solver_residual(self) -> float:
         """Worst relative residual of any solve so far; NaN if any was NaN."""
-        return float(np.max([s.fact.max_rel_residual for s in self._solvers.values()],
+        return float(np.max([f.max_rel_residual for f in self.factors.values()],
                             initial=0.0))
 
     def project_total_pressure(self, u_values: np.ndarray,
@@ -252,11 +245,7 @@ class DiscreteSystem:
         """
         p = self.params
         rhs = p.alpha * (self.mass @ p_values) - p.lam * (self.div_coupling.T @ u_values)
-        return self.solver("mass").solve(rhs, np.zeros(0))
-
-    def state(self, u_values, xi_values, p_values, t: float) -> BiotState:
-        return BiotState(FieldVector(self.V, u_values), FieldVector(self.M, xi_values),
-                         FieldVector(self.M, p_values), t)
+        return self.solve("mass", rhs, np.zeros(0))
 
     # -- shared right-hand-side pieces ------------------------------------
 
@@ -269,13 +258,13 @@ class DiscreteSystem:
         p = self.params
         c_p, c_xi = self._coef
         tf = self.loads.time_factor(t)
-        return (p.dt * tf * self.fq_profile + c_p * (self.mass @ state.p.values)
-                - c_xi * (self.mass @ state.xi.values))
+        return (p.dt * tf * self.fq_profile + c_p * (self.mass @ state.p)
+                - c_xi * (self.mass @ state.xi))
 
 
 def _nodal_values(space: Space, g, dofs: np.ndarray) -> np.ndarray:
     """The nodal interpolant of a ``g(x, y)`` profile at ``dofs``; zeros if g is None."""
-    return np.zeros(len(dofs)) if g is None else interpolate(space, g).values[dofs]
+    return np.zeros(len(dofs)) if g is None else interpolate(space, g)[dofs]
 
 
 def build_system(mesh: TriMesh, params: PhysParams, loads: LoadSet) -> DiscreteSystem:
@@ -295,9 +284,9 @@ def step_coupled(sys: DiscreteSystem, state: BiotState) -> BiotState:
         -sys._pressure_rhs_base(state, t),
     ])
     gu, gp = sys._bc_values(t)
-    x = sys.solver("coupled").solve(b, np.concatenate([gu, gp]))
+    x = sys.solve("coupled", b, np.concatenate([gu, gp]))
     o = sys.offsets
-    return sys.state(x[o[0]:o[1]], x[o[1]:o[2]], x[o[2]:o[3]], t)
+    return BiotState(x[o[0]:o[1]], x[o[1]:o[2]], x[o[2]:o[3]], t)
 
 
 def _solve_stokes(sys: DiscreteSystem, p_values: np.ndarray, t: float,
@@ -306,7 +295,7 @@ def _solve_stokes(sys: DiscreteSystem, p_values: np.ndarray, t: float,
     _, c_xi = sys._coef
     tf = sys.loads.time_factor(t)
     b = np.concatenate([tf * sys.fu_profile, -c_xi * (sys.mass @ p_values)])
-    x = sys.solver("stokes").solve(b, gu)
+    x = sys.solve("stokes", b, gu)
     nv = sys.offsets[1]
     return x[:nv], x[nv:]
 
@@ -317,11 +306,11 @@ def step_te_decoupled(sys: DiscreteSystem, state: BiotState) -> BiotState:
     p = sys.params
     t = state.t + p.dt
     gu, gp = sys._bc_values(t)
-    u_new, xi_new = _solve_stokes(sys, state.p.values, t, gu)
+    u_new, xi_new = _solve_stokes(sys, state.p, t, gu)
     _, c_xi = sys._coef
     b_p = sys._pressure_rhs_base(state, t) + c_xi * (sys.mass @ xi_new)
-    p_new = sys.solver("pressure").solve(b_p, gp)
-    return sys.state(u_new, xi_new, p_new, t)
+    p_new = sys.solve("pressure", b_p, gp)
+    return BiotState(u_new, xi_new, p_new, t)
 
 
 def check_iteration_settings(iters: int | None, tol: float | None) -> None:
@@ -353,12 +342,12 @@ def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = No
     xi^{n,i+1} - xi^{n,i}.
     """
     check_iteration_settings(iters, tol)
-    xi_i = state.xi.values
+    xi_i = state.xi
     increments: list[float] = []
     budget = iters if iters is not None else MAX_SWEEPS
     for it_state in islice(_split_sweeps(sys, state), budget):
-        increments.append(sys.l2_p1(it_state.xi.values - xi_i))
-        xi_i = it_state.xi.values
+        increments.append(sys.l2_p1(it_state.xi - xi_i))
+        xi_i = it_state.xi
         if tol is not None and not math.isfinite(increments[-1]):
             raise ConvergenceFailure(
                 f"decoupling increment is not finite ({increments[-1]}) at "
@@ -380,11 +369,11 @@ def _split_sweeps(sys: DiscreteSystem, state: BiotState) -> Iterator[BiotState]:
     gu, gp = sys._bc_values(t)
     base = sys._pressure_rhs_base(state, t)
     _, c_xi = sys._coef
-    xi_i = state.xi.values
+    xi_i = state.xi
     while True:
-        p_i = sys.solver("pressure").solve(base + c_xi * (sys.mass @ xi_i), gp)
+        p_i = sys.solve("pressure", base + c_xi * (sys.mass @ xi_i), gp)
         u_i, xi_i = _solve_stokes(sys, p_i, t, gu)
-        yield sys.state(u_i, xi_i, p_i, t)
+        yield BiotState(u_i, xi_i, p_i, t)
 
 
 class ConvergenceFailure(RuntimeError):
@@ -408,7 +397,7 @@ STEPPERS = {
 
 
 def advance(sys: DiscreteSystem, state: BiotState, num_steps: int,
-            algorithm: str = "coupled", iters: int | None = None,
+            algorithm: str, iters: int | None = None,
             tol: float | None = None, keep_states: bool = False):
     """March ``num_steps`` steps; returns the final state (and all states if asked)."""
     if algorithm not in STEPPERS:
@@ -476,15 +465,15 @@ def contraction_monitor(sys: DiscreteSystem, state: BiotState,
     """
     p = sys.params
     reference = step_coupled(sys, state)
-    xi_errors = [sys.l2_p1(state.xi.values - reference.xi.values)]
+    xi_errors = [sys.l2_p1(state.xi - reference.xi)]
     p_errors, strain_errors = [], []
     for it_state in islice(_split_sweeps(sys, state), imax):
-        xi_errors.append(sys.l2_p1(it_state.xi.values - reference.xi.values))
-        p_errors.append(sys.l2_p1(it_state.p.values - reference.p.values))
-        strain_errors.append(sys.strain_norm(it_state.u.values - reference.u.values))
+        xi_errors.append(sys.l2_p1(it_state.xi - reference.xi))
+        p_errors.append(sys.l2_p1(it_state.p - reference.p))
+        strain_errors.append(sys.strain_norm(it_state.u - reference.u))
     return ContractionReport(rho=p.contraction_factor, xi_errors=np.array(xi_errors),
                              p_errors=np.array(p_errors), strain_errors=np.array(strain_errors),
-                             mu=p.mu, alpha=p.alpha, scale=sys.l2_p1(reference.xi.values))
+                             mu=p.mu, alpha=p.alpha, scale=sys.l2_p1(reference.xi))
 
 
 @dataclass
@@ -518,11 +507,11 @@ def energy_check(sys: DiscreteSystem, states: list[BiotState]) -> EnergyReport:
 
     def J(s: BiotState) -> float:
         tf = sys.loads.time_factor(s.t)
-        d = p.alpha * s.p.values - s.xi.values
-        return (p.mu * float(s.u.values @ (sys.elasticity @ s.u.values))
+        d = p.alpha * s.p - s.xi
+        return (p.mu * float(s.u @ (sys.elasticity @ s.u))
                 + 0.5 / p.lam * float(d @ (sys.mass @ d))
-                + 0.5 * p.c0 * float(s.p.values @ (sys.mass @ s.p.values))
-                - tf * float(sys.fu_profile @ s.u.values))
+                + 0.5 * p.c0 * float(s.p @ (sys.mass @ s.p))
+                - tf * float(sys.fu_profile @ s.u))
 
     Js = np.array([J(s) for s in states])
     S = np.zeros(len(states))
@@ -530,16 +519,15 @@ def energy_check(sys: DiscreteSystem, states: list[BiotState]) -> EnergyReport:
     for n in range(1, len(states)):
         cur, prev = states[n], states[n - 1]
         tf = sys.loads.time_factor(cur.t)
-        du = (cur.u.values - prev.u.values) / p.dt
-        dd = (p.alpha * cur.p.values - cur.xi.values
-              - p.alpha * prev.p.values + prev.xi.values) / p.dt
-        dp = (cur.p.values - prev.p.values) / p.dt
+        du = (cur.u - prev.u) / p.dt
+        dd = (p.alpha * cur.p - cur.xi - p.alpha * prev.p + prev.xi) / p.dt
+        dp = (cur.p - prev.p) / p.dt
         dissipation = (p.mu * float(du @ (sys.elasticity @ du))
                        + 0.5 / p.lam * float(dd @ (sys.mass @ dd))
                        + 0.5 * p.c0 * float(dp @ (sys.mass @ dp)))
         total += p.dt * (p.dt * dissipation
-                         + p.K * float(cur.p.values @ (sys.stiffness @ cur.p.values))
-                         - tf * float(sys.fq_profile @ cur.p.values))
+                         + p.K * float(cur.p @ (sys.stiffness @ cur.p))
+                         - tf * float(sys.fq_profile @ cur.p))
         S[n] = total
     defects = np.abs(Js + S - Js[0]) / (abs(Js[0]) + 1.0)
     return EnergyReport(J=Js, S=S, defects=defects)

@@ -7,12 +7,13 @@ Usage sketch::
     biotsplit --preset nu03 --check contraction --check energy
 
 Exit status is 0 when the study ran and every requested check passed, 1 when
-a check failed or a level failed to solve, and 2 for a configuration error,
-reported as one ``error:`` line.  The argument parser is the one declaration
-of the run settings: a flat ``key = value`` config file (--config) is read as
-the flags ``--key=value`` ahead of the command line, so explicit flags
-override it.  The parser checks each setting's type; the library checks its
-value.  The effective configuration is echoed verbatim into the JSON report.
+a check failed, a level failed to solve or a report could not be written, and
+2 for a configuration error; an error is reported as one ``error:`` line.
+The argument parser is the one declaration of the run settings: a flat
+``key = value`` config file (--config) is read as the flags ``--key=value``
+ahead of the command line, so explicit flags override it.  The parser checks
+each setting's type; the library checks its value.  The effective
+configuration is echoed verbatim into the JSON report.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from .assembly import PhysParams, constrain_matrix, export_matrix
 from .benchmark import (PRESETS, benchmark_loads, homogeneous_loads, initial_state,
                         make_case, run_study, study_csv, study_report, write_csv,
                         write_json)
-from .biot import (STEPPERS, LoadSet, advance, build_system, contraction_monitor,
-                   energy_check, korn_check)
+from .biot import (STEPPERS, BiotState, LoadSet, advance, build_system,
+                   contraction_monitor, energy_check, korn_check)
 from .fem import interpolate
 from .mesh import build_uniform, refine
 
@@ -81,8 +82,8 @@ def _build_parser() -> _Parser:
 def _file_args(parser: _Parser, path: str) -> list:
     """The lines of a config file as flags: ``key = value`` is ``--key=value``
     with '_' for '-' in the key, and ``check = a, b`` is two ``--check``;
-    '#' starts a comment.  Each line is checked by ``parser`` on its own, so
-    an error names its file and line."""
+    '#' starts a comment.  A key needs a value.  Each line is checked by
+    ``parser`` on its own, so an error names its file and line."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -99,6 +100,8 @@ def _file_args(parser: _Parser, path: str) -> list:
         values = value.replace(",", " ").split() if key == "check" else [value]
         line_args = [f"--{key.replace('_', '-')}={v}" for v in values]
         try:
+            if not value or not values:
+                raise ConfigError(f"empty value for key {key!r}")
             if "-" in key or key == "config" or parser.parse_known_args(line_args)[1]:
                 raise ConfigError(f"unknown key {key!r}")
         except ConfigError as exc:
@@ -138,11 +141,10 @@ def _check_rates(study) -> tuple[bool, dict]:
 def _check_energy(case, n0: int) -> tuple[bool, dict]:
     system = build_system(build_uniform(n0), case.params, homogeneous_loads(case))
     u0 = interpolate(system.V, case.u_profile)
-    u0.values[system.bd_u] = 0.0
+    u0[system.bd_u] = 0.0
     p0 = interpolate(system.M, case.p_profile)
-    p0.values[system.bd_p] = 0.0
-    xi0 = system.project_total_pressure(u0.values, p0.values)
-    state0 = system.state(u0.values, xi0, p0.values, 0.0)
+    p0[system.bd_p] = 0.0
+    state0 = BiotState(u0, system.project_total_pressure(u0, p0), p0, 0.0)
     steps = round(case.params.T / case.params.dt)
     states = advance(system, state0, steps, "coupled", keep_states=True)
     report = energy_check(system, states)
@@ -167,7 +169,7 @@ def _check_contraction(case, n0: int) -> tuple[bool, dict]:
               and report.pressure_bound_ok() and report.strain_bound_ok())
     else:
         e = report.xi_errors
-        nonincreasing = bool(np.all(np.diff(e) <= 1e-12 * max(e[0], 1.0)))
+        nonincreasing = bool(np.all(np.diff(e) <= 1e-12 * report.scale))
         reached = bool(e[-1] <= 1e-8 * e[0]) if e[0] > 0 else True
         first = int(np.argmax(e <= 1e-8 * e[0])) if reached else -1
         detail.update({"nonincreasing": nonincreasing,
@@ -228,27 +230,32 @@ def run(config: argparse.Namespace) -> int:
         print(f"warning: solver residual {study.max_residual:.3e} exceeded 1e-9; "
               f"report marked tainted", file=sys.stderr)
 
-    if config.out_csv:
-        _write_artifact(write_csv, study, config.out_csv)
+    if config.out_csv and not _write_artifact(write_csv, study, config.out_csv):
+        return 1
     if config.out_json:
         report = study_report(study, config_echo=vars(config), checks=checks,
                               failures=failures)
-        _write_artifact(write_json, report, config.out_json)
+        if not _write_artifact(write_json, report, config.out_json):
+            return 1
     if config.dump_matrix:
         system = build_system(build_uniform(config.n0), case.params,
                               benchmark_loads(case))
         A, dofs = system._block("coupled")
         natural = constrain_matrix(A, dofs, np.arange(A.shape[0])).tocsr()
-        _write_artifact(export_matrix, natural, config.dump_matrix)
+        if not _write_artifact(export_matrix, natural, config.dump_matrix):
+            return 1
 
     return 0 if not failures else 1
 
 
-def _write_artifact(writer, payload, path: str) -> None:
+def _write_artifact(writer, payload, path: str) -> bool:
+    """Write one report; on failure print one ``error:`` line and return False."""
     try:
         writer(payload, path)
     except OSError as exc:
-        raise SystemExit(f"error: cannot write {path}: {exc}")
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv=None) -> int:

@@ -198,8 +198,8 @@ def physical_points(mesh: TriMesh, points: np.ndarray) -> tuple[np.ndarray, np.n
                  for k in range(2))
 
 
-def interpolate(space: Space, f: Callable) -> "FieldVector":
-    """Nodal interpolation onto the space.
+def interpolate(space: Space, f: Callable) -> np.ndarray:
+    """Nodal interpolation onto the space: its coefficient array.
 
     ``f(x, y)`` receives coordinate arrays; scalar spaces expect an array of
     values, the vector space a pair/stack ``(f_x, f_y)``.
@@ -207,30 +207,7 @@ def interpolate(space: Space, f: Callable) -> "FieldVector":
     coords = space.dof_coords()
     out = f(coords[:, 0], coords[:, 1])
     if space.components == 1:
-        values = np.broadcast_to(np.asarray(out, dtype=float), (space.num_dofs,)).copy()
-    else:
-        fx, fy = out
-        n = space.num_scalar_dofs
-        values = np.empty(2 * n)
-        values[:n] = np.broadcast_to(np.asarray(fx, dtype=float), (n,))
-        values[n:] = np.broadcast_to(np.asarray(fy, dtype=float), (n,))
-    return FieldVector(space, values)
-
-
-@dataclass
-class FieldVector:
-    """Coefficient vector of a finite-element function."""
-
-    space: Space
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.space.num_dofs,):
-            raise ValueError(
-                f"coefficient vector has shape {self.values.shape}, "
-                f"space has {self.space.num_dofs} dofs")
-
-    def component(self, c: int) -> np.ndarray:
-        n = self.space.num_scalar_dofs
-        return self.values[c * n:(c + 1) * n]
+        return np.broadcast_to(np.asarray(out, dtype=float), (space.num_dofs,)).copy()
+    fx, fy = out
+    n = space.num_scalar_dofs
+    return np.concatenate([np.broadcast_to(np.asarray(c, dtype=float), (n,)) for c in (fx, fy)])

@@ -171,33 +171,20 @@ def build_uniform(n: int) -> TriMesh:
     def vid(ix, iy):
         return iy * (n + 1) + ix
 
-    triangles = []
-    for iy in range(n):
-        for ix in range(n):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            triangles.append((v00, v10, v01))  # below the diagonal
-            triangles.append((v10, v11, v01))  # above the diagonal
-    triangles = np.array(triangles, dtype=np.int64)
-
-    bedges, btags = [], []
-    for i in range(n):
-        bedges.append((vid(n, i), vid(n, i + 1)))
-        btags.append(RIGHT)
-        bedges.append((vid(i, 0), vid(i + 1, 0)))
-        btags.append(BOTTOM)
-        bedges.append((vid(0, i), vid(0, i + 1)))
-        btags.append(LEFT)
-        bedges.append((vid(i, n), vid(i + 1, n)))
-        btags.append(TOP)
-
+    i = np.arange(n, dtype=np.int64)
+    cell = vid(i[None, :], i[:, None]).ravel()  # lower-left vertex of each cell, row by row
+    triangles = np.column_stack([
+        cell, cell + 1, cell + n + 1,            # below the diagonal
+        cell + 1, cell + n + 2, cell + n + 1,    # above the diagonal
+    ]).reshape(-1, 3)
+    # for each i, edge i of the right, bottom, left and top sides
+    starts = np.column_stack([vid(n, i), vid(i, 0), vid(0, i), vid(i, n)])
+    ends = np.column_stack([vid(n, i + 1), vid(i + 1, 0), vid(0, i + 1), vid(i + 1, n)])
     return TriMesh(
         vertices=vertices,
         triangles=triangles,
-        boundary_edges=np.array(bedges, dtype=np.int64),
-        boundary_tags=np.array(btags, dtype=np.int64),
+        boundary_edges=np.stack([starts, ends], axis=-1).reshape(-1, 2),
+        boundary_tags=np.tile(np.array([RIGHT, BOTTOM, LEFT, TOP], dtype=np.int64), n),
     )
 
 

@@ -22,19 +22,20 @@ def mesh_size(mesh) -> float:
     return float(np.sqrt((d * d).sum(axis=1)).max())
 
 
-def evaluate(field, points) -> np.ndarray:
-    """Evaluate a ``FieldVector`` at physical points (brute-force element search).
+def evaluate(space, values, points) -> np.ndarray:
+    """Evaluate the field with coefficient array ``values`` on ``space`` at
+    physical points (brute-force element search).
 
     Returns an array of shape (npts,) for scalar fields and (npts, 2) for
     vector fields.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    space = field.space
     mesh = space.mesh
     _, inv_t, _ = affine_maps(mesh)
     inv = np.transpose(inv_t, (0, 2, 1))
     p0 = mesh.vertices[mesh.triangles[:, 0]]
     cell_dofs = space.cell_dofs()
+    component = np.reshape(values, (space.components, -1))
 
     out = np.empty((len(points), space.components))
     for ip, pt in enumerate(points):
@@ -43,9 +44,9 @@ def evaluate(field, points) -> np.ndarray:
         it = int(np.argmax(bary_min))
         if bary_min[it] < -1e-10:
             raise ValueError(f"point {pt} lies outside the mesh")
-        values, _ = eval_basis(space.scalar_kind, local[it])
+        basis, _ = eval_basis(space.scalar_kind, local[it])
         for c in range(space.components):
-            out[ip, c] = field.component(c)[cell_dofs[it]] @ values[:, 0]
+            out[ip, c] = component[c][cell_dofs[it]] @ basis[:, 0]
     return out[:, 0] if space.components == 1 else out
 
 

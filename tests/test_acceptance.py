@@ -29,6 +29,7 @@ from biotsplit.benchmark import (
     run_study,
 )
 from biotsplit.biot import (
+    BiotState,
     advance,
     build_system,
     contraction_monitor,
@@ -253,9 +254,9 @@ def test_te_step_is_first_order_in_dt():
             system = build_system(mesh, case.params, benchmark_loads(case))
             finals.append(advance(system, initial_state(system, case), steps, algorithm))
         te, coupled = finals
-        gaps.append(max(system.l2_p1(te.xi.values - coupled.xi.values),
-                        system.l2_p1(te.p.values - coupled.p.values),
-                        system.strain_norm(te.u.values - coupled.u.values)))
+        gaps.append(max(system.l2_p1(te.xi - coupled.xi),
+                        system.l2_p1(te.p - coupled.p),
+                        system.strain_norm(te.u - coupled.u)))
     ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
     print(f"te - coupled at dt = 4e-3 .. 5e-4: {gaps}, ratios {ratios}")
     assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios
@@ -306,11 +307,11 @@ def test_criterion_07_energy_identity():
     system = build_system(build_uniform(16), case.params,
                           homogeneous_loads(case))
     u0 = interpolate(system.V, case.u_profile)
-    u0.values[system.bd_u] = 0.0
+    u0[system.bd_u] = 0.0
     p0 = interpolate(system.M, case.p_profile)
-    p0.values[system.bd_p] = 0.0
-    xi0 = system.project_total_pressure(u0.values, p0.values)
-    states = advance(system, system.state(u0.values, xi0, p0.values, 0.0),
+    p0[system.bd_p] = 0.0
+    xi0 = system.project_total_pressure(u0, p0)
+    states = advance(system, BiotState(u0, xi0, p0, 0.0),
                      10, "coupled", keep_states=True)
     rep = energy_check(system, states)
     ok = rep.max_defect <= 1e-9
@@ -349,8 +350,8 @@ def test_criterion_09_fixed_point_reaches_coupled():
 
             state_c = step_coupled(system, state_c)
             state_i, _ = step_iterative(system, state_i, tol=1e-12)
-            diff = max(np.abs(getattr(state_i, f).values
-                              - getattr(state_c, f).values).max()
+            diff = max(np.abs(getattr(state_i, f)
+                              - getattr(state_c, f)).max()
                        for f in ("u", "xi", "p"))
             worst = max(worst, diff)
     ok = worst <= 1e-9

@@ -27,7 +27,7 @@ from biotsplit.assembly import (
     export_matrix,
 )
 from biotsplit.benchmark import benchmark_loads, compute_errors, make_case
-from biotsplit.biot import BiotState, build_system
+from biotsplit.biot import BiotState, LoadSet, build_system
 from biotsplit.fem import Space, affine_maps, eval_basis, interpolate, quadrature
 from biotsplit.mesh import DIRICHLET_TAGS, NEUMANN_TAGS, TriMesh, build_uniform
 
@@ -93,10 +93,10 @@ def test_elasticity_energy_of_quadratic_field():
     # u = (x^2, x*y): eps:eps = 5x^2 + y^2/2, integral over the square 11/6
     space = Space(build_uniform(4), "p2-vector")
     K = assemble_form(ELASTICITY, space, space)
-    u = interpolate(space, lambda x, y: (x * x, x * y)).values
+    u = interpolate(space, lambda x, y: (x * x, x * y))
     assert u @ (K @ u) == pytest.approx(11 / 6, abs=1e-12)
     # u = (y, 0): eps:eps = 1/2
-    v = interpolate(space, lambda x, y: (y, 0 * y)).values
+    v = interpolate(space, lambda x, y: (y, 0 * y))
     assert v @ (K @ v) == pytest.approx(0.5, abs=1e-13)
 
 
@@ -107,7 +107,7 @@ def test_elasticity_nullspace_contains_rigid_modes():
              lambda x, y: (np.zeros_like(x), np.ones_like(y)),
              lambda x, y: (-y, x)]
     for mode in modes:
-        u = interpolate(space, mode).values
+        u = interpolate(space, mode)
         assert np.abs(K @ u).max() < 1e-12
 
 
@@ -115,7 +115,7 @@ def test_div_div_energy():
     # div(x^2, x*y) = 3x, integral of (3x)^2 over the square is 3
     space = Space(build_uniform(4), "p2-vector")
     D = assemble_form(DIV_DIV, space, space)
-    u = interpolate(space, lambda x, y: (x * x, x * y)).values
+    u = interpolate(space, lambda x, y: (x * x, x * y))
     assert u @ (D @ u) == pytest.approx(3.0, abs=1e-12)
 
 
@@ -125,8 +125,8 @@ def test_div_coupling_matches_divergence_pairing():
     qspace = Space(mesh, "p1")
     B = assemble_form(DIV_COUPLING, qspace, vspace)
     assert B.shape == (vspace.num_dofs, qspace.num_dofs)
-    u = interpolate(vspace, lambda x, y: (x * x, x * y)).values
-    q = interpolate(qspace, lambda x, y: x).values
+    u = interpolate(vspace, lambda x, y: (x * x, x * y))
+    q = interpolate(qspace, lambda x, y: x)
     # integral of x * 3x over the square
     assert u @ (B @ q) == pytest.approx(1.0, abs=1e-13)
 
@@ -137,7 +137,7 @@ def test_divergence_theorem_for_linear_field():
     vspace = Space(mesh, "p2-vector")
     qspace = Space(mesh, "p1")
     B = assemble_form(DIV_COUPLING, qspace, vspace)
-    u = interpolate(vspace, lambda x, y: (x, y)).values
+    u = interpolate(vspace, lambda x, y: (x, y))
     assert u @ (B @ np.ones(qspace.num_dofs)) == pytest.approx(2.0, abs=1e-13)
 
 
@@ -146,9 +146,9 @@ def test_scalar_energies_for_p2_fields():
     space = Space(mesh, "p2")
     M = assemble_form(MASS, space, space)
     S = assemble_form(P_STIFFNESS, space, space)
-    q = interpolate(space, lambda x, y: x * y).values
+    q = interpolate(space, lambda x, y: x * y)
     assert q @ (M @ q) == pytest.approx(1 / 9, abs=1e-13)
-    r = interpolate(space, lambda x, y: x * x - y).values
+    r = interpolate(space, lambda x, y: x * x - y)
     assert r @ (S @ r) == pytest.approx(7 / 3, abs=1e-12)
 
 
@@ -184,7 +184,7 @@ def test_volume_load_pairs_exactly():
     mesh = build_uniform(4)
     space = Space(mesh, "p2")
     F = assemble_functional(VOLUME_LOAD, space, lambda x, y: x)
-    q = interpolate(space, lambda x, y: x * y).values
+    q = interpolate(space, lambda x, y: x * y)
     assert F @ q == pytest.approx(1 / 6, abs=1e-14)
     assert F.sum() == pytest.approx(0.5, abs=1e-14)  # pairing with 1
 
@@ -193,7 +193,7 @@ def test_vector_volume_load_pairs_exactly():
     mesh = build_uniform(4)
     space = Space(mesh, "p2-vector")
     F = assemble_functional(VOLUME_LOAD, space, lambda x, y: (y, x ** 3))
-    u = interpolate(space, lambda x, y: (x, y * y)).values
+    u = interpolate(space, lambda x, y: (x, y * y))
     # int (y*x + x^3 y^2) = 1/4 + 1/12
     assert F @ u == pytest.approx(1 / 3, abs=1e-14)
 
@@ -218,7 +218,7 @@ def test_boundary_flux_pairs_exactly():
     mesh = build_uniform(4)
     space = Space(mesh, "p2")
     F = assemble_functional(BOUNDARY_FLUX, space, lambda x, y, n: x * x * (n[1] < 0))
-    q = interpolate(space, lambda x, y: x).values
+    q = interpolate(space, lambda x, y: x)
     # int over the bottom side of x^2 * x
     assert F @ q == pytest.approx(0.25, abs=1e-14)
 
@@ -233,7 +233,7 @@ def test_boundary_traction_pairs_exactly():
         return np.zeros_like(x), x * (normal[1] > 0)
 
     F = assemble_functional(BOUNDARY_TRACTION, space, data)
-    u = interpolate(space, lambda x, y: (y, x * x)).values
+    u = interpolate(space, lambda x, y: (y, x * x))
     # int over the top side of x * x^2
     assert F @ u == pytest.approx(0.25, abs=1e-14)
     assert set(seen) == {(0.0, -1.0), (0.0, 1.0)}  # outward normals of y = 0, y = 1
@@ -270,7 +270,7 @@ def test_apply_dirichlet_reproduces_linear_solution():
     dofs = space.boundary_scalar_dofs((1, 3))
     A = constrain_matrix(K, dofs, np.arange(space.num_dofs))
     b = constrain_rhs(dirichlet_columns(K, dofs), np.zeros(space.num_dofs), dofs,
-                      interpolate(space, lambda x, y: x).values[dofs])
+                      interpolate(space, lambda x, y: x)[dofs])
     u = spla.spsolve(A, b)
     np.testing.assert_allclose(u, space.dof_coords()[:, 0], atol=1e-12)
 
@@ -415,21 +415,21 @@ def test_errors_match_pointwise_loop_on_distorted_mesh(distorted):
     t = 0.5
     tf = case.time_factor(t)
     rng = np.random.default_rng(21)
-    fields = []
-    for kind, exact in (("p2-vector", case.u_profile), ("p1", case.xi_profile),
-                        ("p1", case.p_profile)):
-        field = interpolate(Space(distorted, kind), lambda x, y: tf * exact(x, y))
-        field.values += 0.05 * rng.standard_normal(field.values.shape)
+    system = build_system(distorted, case.params, LoadSet())
+    spaces, fields = (system.V, system.M, system.M), []
+    for space, exact in zip(spaces, (case.u_profile, case.xi_profile, case.p_profile)):
+        field = interpolate(space, lambda x, y: tf * exact(x, y))
+        field += 0.05 * rng.standard_normal(field.shape)
         fields.append(field)
-    got = compute_errors(BiotState(*fields, t), case).as_tuple()
+    got = compute_errors(system, BiotState(*fields, t), case).as_tuple()
 
     rule, jac, inv_t, det = pointwise_geometry(distorted)
     origin = distorted.vertices[distorted.triangles[:, 0]]
     expect = []
-    for field, exact, grad in zip(fields, (case.u_profile, case.xi_profile, case.p_profile),
-                                  (case.grad_u_profile, case.grad_xi_profile,
-                                   case.grad_p_profile)):
-        space = field.space
+    for space, field, exact, grad in zip(spaces, fields,
+                                         (case.u_profile, case.xi_profile, case.p_profile),
+                                         (case.grad_u_profile, case.grad_xi_profile,
+                                          case.grad_p_profile)):
         vals, grads = eval_basis(space.scalar_kind, rule.points)
         l2sq = h1sq = 0.0
         for tri, dofs in enumerate(space.cell_dofs()):
@@ -439,7 +439,7 @@ def test_errors_match_pointwise_loop_on_distorted_mesh(distorted):
                 gradient = np.reshape(tf * grad(np.array(x), np.array(y)),
                                       (space.components, 2))
                 for c in range(space.components):
-                    coeff = field.component(c)[dofs]
+                    coeff = field.reshape(space.components, -1)[c][dofs]
                     l2sq += w * det[tri] * (coeff @ vals[:, q] - value[c]) ** 2
                     h1sq += w * det[tri] * np.sum(
                         (inv_t[tri] @ (coeff @ grads[:, q, :]) - gradient[c]) ** 2)
@@ -453,10 +453,10 @@ def test_block_orders_factor_on_distorted_mesh(distorted, name):
     case = make_case("nu03")
     system = build_system(distorted, case.params, benchmark_loads(case))
     order = system.discretization.orders[name]
-    assert np.array_equal(np.sort(order), np.arange(system._block(name)[0].shape[0]))
-    solver = system.solver(name)
-    solver.fact.solve(np.ones(len(order)))
-    assert solver.fact.max_rel_residual < 1e-11
+    A, dofs = system._block(name)
+    assert np.array_equal(np.sort(order), np.arange(A.shape[0]))
+    system.solve(name, np.ones(len(order)), np.ones(len(dofs)))
+    assert system.factors[name].max_rel_residual < 1e-11
 
 
 def product_elimination(A, dofs):
@@ -527,8 +527,8 @@ def test_superlu_gets_the_permuted_elimination(distorted, monkeypatch, where, na
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", keep)
-    solver = system.solver(name)
     A, dofs = system._block(name)
+    system.solve(name, np.zeros(A.shape[0]), np.zeros(len(dofs)))
     order = system.discretization.orders[name]
-    assert len(factored) == 1 and factored[0] is solver.fact.matrix
+    assert len(factored) == 1 and factored[0] is system.factors[name].matrix
     assert_same_bits(factored[0], product_elimination(A, dofs)[order][:, order].tocsc())

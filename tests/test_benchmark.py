@@ -1,6 +1,7 @@
 """Benchmark harness: presets, error norms, studies, CSV/JSON reports."""
 import collections
 import copy
+import dataclasses
 import json
 import math
 
@@ -21,8 +22,8 @@ from biotsplit.benchmark import (
     write_csv,
     write_json,
 )
-from biotsplit.biot import BiotState
-from biotsplit.fem import Space, interpolate
+from biotsplit.biot import BiotState, LoadSet, build_system
+from biotsplit.fem import interpolate
 from biotsplit.linalg import SingularMatrixError
 from biotsplit.mesh import build_uniform
 
@@ -68,31 +69,32 @@ def test_initial_state_is_nodal_interpolation(small_system, nu03_case):
     state = initial_state(small_system, nu03_case)
     assert state.t == 0.0
     coords = small_system.M.dof_coords()
-    np.testing.assert_allclose(state.xi.values,
+    np.testing.assert_allclose(state.xi,
                                nu03_case.xi_profile(coords[:, 0], coords[:, 1]),
                                atol=1e-14)
     vcoords = small_system.V.dof_coords()
     u = nu03_case.u_profile(vcoords[:, 0], vcoords[:, 1])
     n = small_system.V.num_scalar_dofs
-    np.testing.assert_allclose(state.u.values[:n], u[0], atol=1e-14)
-    np.testing.assert_allclose(state.u.values[n:], u[1], atol=1e-14)
+    np.testing.assert_allclose(state.u[:n], u[0], atol=1e-14)
+    np.testing.assert_allclose(state.u[n:], u[1], atol=1e-14)
 
 
 def interpolant_state(case, n, t):
-    mesh = build_uniform(n)
+    """A system on the uniform n-mesh and the interpolant of the exact fields at t."""
+    system = build_system(build_uniform(n), case.params, LoadSet())
     tf = case.time_factor(t)
-    u = interpolate(Space(mesh, "p2-vector"), lambda x, y: tf * case.u_profile(x, y))
-    xi = interpolate(Space(mesh, "p1"), lambda x, y: tf * case.xi_profile(x, y))
-    p = interpolate(Space(mesh, "p1"), lambda x, y: tf * case.p_profile(x, y))
-    return BiotState(u, xi, p, t)
+    u = interpolate(system.V, lambda x, y: tf * case.u_profile(x, y))
+    xi = interpolate(system.M, lambda x, y: tf * case.xi_profile(x, y))
+    p = interpolate(system.M, lambda x, y: tf * case.p_profile(x, y))
+    return system, BiotState(u, xi, p, t)
 
 
 def test_error_norms_converge_at_interpolation_rates(nu03_case):
     # against its own interpolant the error is pure interpolation error:
     # O(h^3) for u in L2, O(h^2) in H1; O(h^2)/O(h) for the P1 fields
     t = 0.004
-    e0 = compute_errors(interpolant_state(nu03_case, 8, t), nu03_case)
-    e1 = compute_errors(interpolant_state(nu03_case, 16, t), nu03_case)
+    e0 = compute_errors(*interpolant_state(nu03_case, 8, t), nu03_case)
+    e1 = compute_errors(*interpolant_state(nu03_case, 16, t), nu03_case)
     rates = {k: np.log2(a / b) for k, a, b in
              zip(ErrorSet.COLUMNS, e0.as_tuple(), e1.as_tuple())}
     assert rates["l2_u"] == pytest.approx(3.0, abs=0.4)
@@ -104,9 +106,20 @@ def test_error_norms_converge_at_interpolation_rates(nu03_case):
 
 
 def test_error_of_exact_nodal_data_is_small_but_nonzero(nu03_case):
-    errors = compute_errors(interpolant_state(nu03_case, 8, 0.0), nu03_case)
+    errors = compute_errors(*interpolant_state(nu03_case, 8, 0.0), nu03_case)
     for value in errors.as_tuple():
         assert 0.0 < value < 1.0
+
+
+@pytest.mark.parametrize("field", ["u", "xi", "p"])
+def test_compute_errors_rejects_a_field_of_the_wrong_length(nu03_case, field):
+    # two entries too many or too few still split into two u components, so
+    # only the length check stops a silently shifted field
+    system, state = interpolant_state(nu03_case, 2, 0.0)
+    values = getattr(state, field)
+    for wrong in (np.append(values, [0.0, 0.0]), values[:-2]):
+        with pytest.raises(ValueError, match=f"space has {values.size} dofs"):
+            compute_errors(system, dataclasses.replace(state, **{field: wrong}), nu03_case)
 
 
 def test_run_study_validation(nu03_case):

@@ -286,3 +286,38 @@ def test_dump_matrix_needs_no_extra_factorization(tmp_path, capsys, monkeypatch)
     assert main(TINY + ["--dump-matrix", str(tmp_path / "coupled.mtx")]) == 0
     capsys.readouterr()
     assert len(calls) == 2  # one coupled LU per study level
+
+
+@pytest.mark.parametrize("flag", ["--out-csv", "--out-json", "--dump-matrix"])
+def test_unwritable_report_returns_1_with_one_error_line(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "report"
+    assert main(TINY + [flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", ["check =", "check = ,", "out_csv =   # no file"])
+def test_empty_config_value_is_an_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n0 = 4\n{line}\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:2: empty value for key"):
+        parse_config(["--config", str(cfg)])
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("error:") == 1
+
+
+def test_c0_zero_contraction_check_measures_increases_against_the_scale(monkeypatch):
+    # with ||xi^n|| = 1e-3 an increase of 1e-14 is above the 1e-12 * scale
+    # allowance that criterion 06 uses
+    monitor = cli.contraction_monitor
+
+    def creeping(system, state, imax):
+        report = monitor(system, state, imax=imax)
+        e = report.xi_errors.copy()
+        e[1] = e[0] + 1e-14  # the first sweep gains 1e-14; the rest still contract
+        return dataclasses.replace(report, xi_errors=e, scale=1e-3)
+
+    monkeypatch.setattr(cli, "contraction_monitor", creeping)
+    ok, detail = _check_contraction(make_case("c00"), 4)
+    assert detail["nonincreasing"] is False and detail["reduction_reached_at"] > 0
+    assert ok is False

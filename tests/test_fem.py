@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from biotsplit.assembly import PhysParams
 from biotsplit.biot import LoadSet, build_system
 from biotsplit.fem import (
-    FieldVector,
     Space,
     affine_maps,
     edge_quadrature,
@@ -209,7 +208,7 @@ def test_interpolate_scalar_exact_for_quadratic():
     field = interpolate(space, q)
     rng = np.random.default_rng(7)
     pts = rng.random((20, 2))
-    np.testing.assert_allclose(evaluate(field, pts), q(pts[:, 0], pts[:, 1]),
+    np.testing.assert_allclose(evaluate(space, field, pts), q(pts[:, 0], pts[:, 1]),
                                atol=1e-12)
 
 
@@ -219,22 +218,17 @@ def test_interpolate_vector_layout_and_values():
     field = interpolate(space, lambda x, y: (x + y, x - y))
     coords = space.dof_coords()
     n = space.num_scalar_dofs
-    np.testing.assert_allclose(field.values[:n], coords[:, 0] + coords[:, 1])
-    np.testing.assert_allclose(field.values[n:], coords[:, 0] - coords[:, 1])
-    np.testing.assert_allclose(field.component(1), field.values[n:])
+    np.testing.assert_allclose(field[:n], coords[:, 0] + coords[:, 1])
+    np.testing.assert_allclose(field[n:], coords[:, 0] - coords[:, 1])
+    np.testing.assert_allclose(field.reshape(2, -1)[1], field[n:])
     pts = np.array([[0.25, 0.7], [0.8, 0.1]])
-    out = evaluate(field, pts)
+    out = evaluate(space, field, pts)
     np.testing.assert_allclose(out[:, 0], pts[:, 0] + pts[:, 1], atol=1e-13)
     np.testing.assert_allclose(out[:, 1], pts[:, 0] - pts[:, 1], atol=1e-13)
 
 
-def test_field_vector_shape_check():
-    space = Space(build_uniform(2), "p1")
-    with pytest.raises(ValueError):
-        FieldVector(space, np.zeros(space.num_dofs + 1))
-
-
 def test_evaluate_outside_mesh_raises():
-    field = interpolate(Space(build_uniform(2), "p1"), lambda x, y: x)
+    space = Space(build_uniform(2), "p1")
+    field = interpolate(space, lambda x, y: x)
     with pytest.raises(ValueError):
-        evaluate(field, np.array([[1.5, 0.5]]))
+        evaluate(space, field, np.array([[1.5, 0.5]]))

@@ -193,3 +193,33 @@ def test_edge_tables_match_the_lexicographic_formula():
         for got, want in zip(tables, lexicographic_edge_tables(mesh)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+def loop_uniform(n):
+    """The uniform n-mesh written out cell by cell and side by side."""
+    def vid(ix, iy):
+        return iy * (n + 1) + ix
+
+    triangles = []
+    for iy in range(n):
+        for ix in range(n):
+            v00, v10 = vid(ix, iy), vid(ix + 1, iy)
+            v01, v11 = vid(ix, iy + 1), vid(ix + 1, iy + 1)
+            triangles += [(v00, v10, v01), (v10, v11, v01)]
+    bedges, btags = [], []
+    for i in range(n):
+        bedges += [(vid(n, i), vid(n, i + 1)), (vid(i, 0), vid(i + 1, 0)),
+                   (vid(0, i), vid(0, i + 1)), (vid(i, n), vid(i + 1, n))]
+        btags += [RIGHT, BOTTOM, LEFT, TOP]
+    return (np.array(triangles, dtype=np.int64), np.array(bedges, dtype=np.int64),
+            np.array(btags, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_build_uniform_matches_the_loop_formula(n):
+    mesh = build_uniform(n)
+    side = np.linspace(0.0, 1.0, n + 1)
+    vertices = np.column_stack([np.tile(side, n + 1), np.repeat(side, n + 1)])
+    for got, expect in zip((mesh.vertices, mesh.triangles, mesh.boundary_edges,
+                            mesh.boundary_tags), (vertices, *loop_uniform(n))):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
