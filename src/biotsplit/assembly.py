@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -233,43 +234,72 @@ def _boundary_load(test: Space, data) -> np.ndarray:
     return out
 
 
-def constrain_matrix(A: sparse.spmatrix, dofs: np.ndarray,
-                     order: np.ndarray) -> sparse.csc_matrix:
-    """Eliminate rows and columns, identity on constrained dofs, and number
-    the result in ``order``: row and column k of the returned canonical CSC
-    are row and column ``order[k]`` of the constrained matrix.
+class BlockTerm(NamedTuple):
+    """One term of a block system: ``coef * form`` (``coef * form.T`` if
+    ``transposed``) with its first row at ``row`` and its first column at
+    ``col`` of the system.  ``form`` is a canonical CSR; terms do not overlap."""
 
-    Symmetry of the input is preserved (row and column elimination together).
-    One pass over the CSR data keeps the nonzero entries of free rows and
-    columns and relabels their columns; a row gather and one transposition
-    put them in factor order, and each constrained dof gets its 1.0 on the
-    diagonal.  For a canonical A the result is bit for bit
-    ``C[order][:, order].tocsc()`` with C the canonical
-    ``P @ A @ P + diag(pinned)``.  ``order`` must be a permutation of the rows.
+    form: sparse.csr_matrix
+    coef: float
+    row: int
+    col: int
+    transposed: bool = False
+
+
+def _coordinates(term: BlockTerm):
+    """Row and column of each stored entry of a term inside its block, in the
+    order of the form's CSR data."""
+    form = term.form
+    if form.format != "csr" or not form.has_canonical_format:
+        raise ValueError("a block term needs a canonical CSR form")
+    rows = np.repeat(np.arange(form.shape[0], dtype=form.indices.dtype), np.diff(form.indptr))
+    return (form.indices, rows) if term.transposed else (rows, form.indices)
+
+
+def constrain_matrix(terms, n: int, dofs: np.ndarray, order: np.ndarray) -> sparse.csr_matrix:
+    """Eliminate rows and columns ``dofs`` of the ``n x n`` sum of ``terms``,
+    identity on constrained dofs, and number the result in ``order``: row and
+    column k of the returned canonical CSR are row and column ``order[k]`` of
+    the constrained matrix.
+
+    Symmetry of the system is preserved (row and column elimination
+    together).  Each term's kept entries (free row, free column, nonzero) are
+    counted, then written with their factor-order row and column and their
+    scaled value into preallocated arrays, with a 1.0 on the diagonal of each
+    constrained dof, and converted once to CSR: no scaled copy of a form and
+    no raw block is made.  The result is bit for bit the canonical
+    ``C[order][:, order]`` with C the canonical ``P @ A @ P + diag(pinned)``
+    and A the block matrix of the terms, as long as no stored nonzero times
+    its coefficient underflows to zero.  ``order`` must be a permutation of
+    ``0..n-1``.
     """
-    A = sparse.csr_matrix(A)
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
-    n = A.shape[0]
     free = np.ones(n, dtype=bool)
     free[dofs] = False
-    position = np.empty(n, dtype=A.indices.dtype)
-    position[order] = np.arange(n, dtype=A.indices.dtype)
-    keep = np.repeat(free, np.diff(A.indptr))
-    keep &= free[A.indices]
-    keep &= A.data != 0
-    indptr = np.concatenate([[0], np.cumsum(keep)])[A.indptr].astype(A.indptr.dtype)
-    B = sparse.csr_matrix((A.data[keep], position[A.indices[keep]], indptr),
-                          shape=A.shape)[order].tocsc()
-    # a constrained column of B keeps no entry of A: its one entry is the 1.0
-    # on the diagonal
-    pinned = ~free[order]
-    at = B.indptr[:-1][pinned]
-    rows = np.flatnonzero(pinned).astype(B.indices.dtype)
-    indptr = B.indptr + np.concatenate([[0], np.cumsum(pinned)]).astype(B.indptr.dtype)
-    return sparse.csc_matrix((np.insert(B.data, at, 1.0), np.insert(B.indices, at, rows), indptr),
-                             shape=A.shape)
+    position = np.empty(n, dtype=np.int32)
+    position[order] = np.arange(n, dtype=np.int32)
+    keep = []
+    for term in terms:
+        i, j = _coordinates(term)
+        keep.append(free[term.row:][i] & free[term.col:][j] & (term.form.data != 0))
+    pinned = np.flatnonzero(~free[order]).astype(np.int32)
+    sizes = [np.count_nonzero(k) for k in keep]
+    nnz = sum(sizes) + len(pinned)
+    rows, cols = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32)
+    values = np.empty(nnz)
+    at = 0
+    for term, kept, size in zip(terms, keep, sizes):
+        part = slice(at, at + size)
+        i, j = _coordinates(term)
+        # the first pass indexed ``free`` with these, so they are in range and
+        # "clip" spares the bounds-checking buffer of take's default mode
+        np.take(position[term.row:], i[kept], out=rows[part], mode="clip")
+        np.take(position[term.col:], j[kept], out=cols[part], mode="clip")
+        np.multiply(term.form.data[kept], term.coef, out=values[part])
+        at += size
+    del keep
+    rows[at:] = cols[at:] = pinned
+    values[at:] = 1.0
+    return sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
 
 
 def constrain_rhs(columns: sparse.spmatrix, b: np.ndarray, dofs: np.ndarray,
@@ -285,22 +315,25 @@ def constrain_rhs(columns: sparse.spmatrix, b: np.ndarray, dofs: np.ndarray,
     return out
 
 
-def dirichlet_columns(A: sparse.spmatrix, dofs: np.ndarray) -> sparse.csc_matrix:
-    """Column slice A[:, dofs] of distinct ``dofs``, used for boundary-value
-    elimination (precomputable).  Gathered in one pass over the CSR data, it
-    is bit for bit ``csc_matrix(A)[:, dofs]``, so its product adds in
-    increasing column order.
+def dirichlet_columns(terms, n: int, dofs: np.ndarray) -> sparse.csc_matrix:
+    """Column slice A[:, dofs] of distinct ``dofs``, with A the ``n x n`` sum
+    of ``terms``, used for boundary-value elimination (precomputable).  The
+    entries in those columns are gathered from each term and converted once;
+    the result is bit for bit ``csc_matrix(A)[:, dofs]`` (stored zeros
+    included), so its product adds in increasing column order.
     """
-    A = sparse.csr_matrix(A)
-    column = np.full(A.shape[1], -1)
-    column[dofs] = np.arange(len(dofs))
-    at = np.flatnonzero(column[A.indices] >= 0)
-    rows = np.searchsorted(A.indptr, at, side="right") - 1
-    cols = column[A.indices[at]]
-    by_column = np.argsort(cols, kind="stable")  # rows stay ascending in each column
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=len(dofs)))])
-    return sparse.csc_matrix((A.data[at][by_column], rows[by_column].astype(A.indices.dtype),
-                              indptr.astype(A.indptr.dtype)), shape=(A.shape[0], len(dofs)))
+    column = np.full(n, -1, dtype=np.int32)
+    column[dofs] = np.arange(len(dofs), dtype=np.int32)
+    rows, cols, values = [], [], []
+    for term in terms:
+        i, j = _coordinates(term)
+        c = column[term.col:][j]
+        at = np.flatnonzero(c >= 0)
+        rows.append(i[at] + term.row)
+        cols.append(c[at])
+        values.append(term.coef * term.form.data[at])
+    return sparse.csc_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, len(dofs)))
 
 
 def export_matrix(A: sparse.spmatrix, path: str) -> None:

@@ -30,11 +30,10 @@ from itertools import islice
 from typing import Callable, Iterator, Optional
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .assembly import (BOUNDARY_FLUX, BOUNDARY_TRACTION, DIV_COUPLING, DIV_DIV,
-                       ELASTICITY, MASS, P_STIFFNESS, VOLUME_LOAD, PhysParams,
-                       assemble_form, assemble_functional, constrain_matrix,
+                       ELASTICITY, MASS, P_STIFFNESS, VOLUME_LOAD, BlockTerm,
+                       PhysParams, assemble_form, assemble_functional, constrain_matrix,
                        constrain_rhs, dirichlet_columns)
 from .fem import P1, P2_VECTOR, Space, interpolate
 from .linalg import Factorization, lu_factor
@@ -182,41 +181,49 @@ class DiscreteSystem:
         return p.c0 + p.alpha ** 2 / p.lam, p.alpha / p.lam  # (c_p, c_xi)
 
     def _block(self, name: str):
-        """Raw matrix and Dirichlet dofs of one block system."""
+        """Terms (``assembly.BlockTerm``), dimension and Dirichlet dofs of one
+        block system.  The (p, p) block is the one form ``c_p*M + K*dt*S``,
+        summed here."""
         p = self.params
         c_p, c_xi = self._coef
-        if name == "coupled":
-            return sparse.bmat([
-                [2 * p.mu * self.elasticity, -self.div_coupling, None],
-                [-self.div_coupling.T, -(1 / p.lam) * self.mass, c_xi * self.mass],
-                [None, c_xi * self.mass,
-                 -(c_p * self.mass + p.K * p.dt * self.stiffness)],
-            ], format="csr"), np.concatenate([self.bd_u, self.offsets[2] + self.bd_p])
+        nv, nw = self.offsets[1], self.offsets[2]
+        stokes = [
+            BlockTerm(self.elasticity, 2 * p.mu, 0, 0),
+            BlockTerm(self.div_coupling, -1.0, 0, nv),
+            BlockTerm(self.div_coupling, -1.0, nv, 0, transposed=True),
+            BlockTerm(self.mass, -(1 / p.lam), nv, nv),
+        ]
         if name == "stokes":
-            return sparse.bmat([
-                [2 * p.mu * self.elasticity, -self.div_coupling],
-                [-self.div_coupling.T, -(1 / p.lam) * self.mass],
-            ], format="csr"), self.bd_u
-        if name == "pressure":
-            return (c_p * self.mass + p.K * p.dt * self.stiffness).tocsr(), self.bd_p
+            return stokes, nw, self.bd_u
         if name == "mass":
-            return self.mass.tocsr(), np.array([], dtype=np.int64)
+            return [BlockTerm(self.mass, 1.0, 0, 0)], self.M.num_dofs, np.array([], dtype=np.int64)
+        reaction = c_p * self.mass + p.K * p.dt * self.stiffness
+        if name == "pressure":
+            return [BlockTerm(reaction, 1.0, 0, 0)], self.M.num_dofs, self.bd_p
+        if name == "coupled":
+            return stokes + [
+                BlockTerm(self.mass, c_xi, nv, nw),
+                BlockTerm(self.mass, c_xi, nw, nv),
+                BlockTerm(reaction, -1.0, nw, nw),
+            ], self.offsets[3], np.concatenate([self.bd_u, nw + self.bd_p])
         raise ValueError(f"unknown block system {name!r}")
 
     def solve(self, name: str, b: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Solve the ``coupled``, ``stokes``, ``pressure`` or ``mass`` system for
         the raw right-hand side ``b`` with Dirichlet values ``values``.
 
-        The first solve builds the block, eliminates it into its factor order
-        (``discretization.orders``) and factors it, dropping the raw matrix
-        first: the factored matrix, kept for the residuals, is the one copy.
+        The first solve takes the block's Dirichlet columns and eliminates it
+        from its unit forms straight into its factor order
+        (``discretization.orders``), as the CSR that is factored; no raw block
+        matrix is built, so the factored matrix, kept for the residuals, is
+        the one copy.
         """
         if name not in self.factors:
-            matrix, dofs = self._block(name)
+            terms, n, dofs = self._block(name)
             order = self.discretization.orders[name]
-            self._boundary[name] = dofs, dirichlet_columns(matrix, dofs)
-            constrained = constrain_matrix(matrix, dofs, order)
-            del matrix
+            self._boundary[name] = dofs, dirichlet_columns(terms, n, dofs)
+            constrained = constrain_matrix(terms, n, dofs, order)
+            del terms
             self.factors[name] = lu_factor(constrained, order)
         dofs, columns = self._boundary[name]
         return self.factors[name].solve(constrain_rhs(columns, b, dofs, values))

@@ -48,6 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _path(value: str) -> str:
+    """A file path flag's value: an empty one is an error, not "no file"."""
+    if not value:
+        raise argparse.ArgumentTypeError("empty path")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(
         prog="biotsplit", allow_abbrev=False,
@@ -71,11 +78,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, help="increment tolerance (iterative)")
     p.add_argument("--check", action="append", choices=CHECK_NAMES, dest="checks",
                    help="self-check to run (repeatable)")
-    p.add_argument("--out-csv", dest="out_csv", help="write the error table here")
-    p.add_argument("--out-json", dest="out_json", help="write the full report here")
-    p.add_argument("--dump-matrix", dest="dump_matrix",
+    p.add_argument("--out-csv", dest="out_csv", type=_path, help="write the error table here")
+    p.add_argument("--out-json", dest="out_json", type=_path,
+                   help="write the full report here")
+    p.add_argument("--dump-matrix", dest="dump_matrix", type=_path,
                    help="write the coupled system matrix (Matrix Market) here")
-    p.add_argument("--config", help="flat key=value config file; flags override it")
+    p.add_argument("--config", type=_path,
+                   help="flat key=value config file; flags override it")
     return p
 
 
@@ -240,8 +249,8 @@ def run(config: argparse.Namespace) -> int:
     if config.dump_matrix:
         system = build_system(build_uniform(config.n0), case.params,
                               benchmark_loads(case))
-        A, dofs = system._block("coupled")
-        natural = constrain_matrix(A, dofs, np.arange(A.shape[0])).tocsr()
+        terms, n, dofs = system._block("coupled")
+        natural = constrain_matrix(terms, n, dofs, np.arange(n))
         if not _write_artifact(export_matrix, natural, config.dump_matrix):
             return 1
 

@@ -1,7 +1,9 @@
 """Reference computations that only the tests use: mesh geometry, point
-evaluation of a finite-element field, the strong-form residual of the
-manufactured solution, and the power bound of the split iteration."""
+evaluation of a finite-element field, the raw block systems, the strong-form
+residual of the manufactured solution, and the power bound of the split
+iteration."""
 import numpy as np
+import scipy.sparse as sparse
 
 from biotsplit.benchmark import PI
 from biotsplit.fem import affine_maps, eval_basis
@@ -48,6 +50,29 @@ def evaluate(space, values, points) -> np.ndarray:
         for c in range(space.components):
             out[ip, c] = component[c][cell_dofs[it]] @ basis[:, 0]
     return out[:, 0] if space.components == 1 else out
+
+
+def block_matrix(system, name):
+    """The raw block system ``name`` of ``system`` and its Dirichlet dofs, by
+    the ``bmat`` formula: the reference that the elimination from the block
+    terms is checked against."""
+    p = system.params
+    c_p, c_xi = system._coef
+    E, B, M, S = system.elasticity, system.div_coupling, system.mass, system.stiffness
+    if name == "coupled":
+        return sparse.bmat([
+            [2 * p.mu * E, -B, None],
+            [-B.T, -(1 / p.lam) * M, c_xi * M],
+            [None, c_xi * M, -(c_p * M + p.K * p.dt * S)],
+        ], format="csr"), np.concatenate([system.bd_u, system.offsets[2] + system.bd_p])
+    if name == "stokes":
+        return sparse.bmat([[2 * p.mu * E, -B], [-B.T, -(1 / p.lam) * M]],
+                           format="csr"), system.bd_u
+    if name == "pressure":
+        return (c_p * M + p.K * p.dt * S).tocsr(), system.bd_p
+    if name == "mass":
+        return M.tocsr(), np.array([], dtype=np.int64)
+    raise ValueError(f"unknown block system {name!r}")
 
 
 def strong_form_residual(case, x, y, t):

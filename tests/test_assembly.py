@@ -3,6 +3,8 @@
 All exact values are derived independently (hand integration or sympy), then
 compared against the assembled sparse matrices.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
@@ -18,6 +20,7 @@ from biotsplit.assembly import (
     MASS,
     P_STIFFNESS,
     VOLUME_LOAD,
+    BlockTerm,
     PhysParams,
     assemble_form,
     assemble_functional,
@@ -30,6 +33,7 @@ from biotsplit.benchmark import benchmark_loads, compute_errors, make_case
 from biotsplit.biot import BiotState, LoadSet, build_system
 from biotsplit.fem import Space, affine_maps, eval_basis, interpolate, quadrature
 from biotsplit.mesh import DIRICHLET_TAGS, NEUMANN_TAGS, TriMesh, build_uniform
+from helpers import block_matrix
 
 
 def unit_triangle():
@@ -255,7 +259,8 @@ def test_constrain_matrix_pins_and_stays_symmetric():
     space = Space(build_uniform(3), "p2")
     K = assemble_form(P_STIFFNESS, space, space)
     dofs = space.boundary_scalar_dofs((1, 3))
-    C = constrain_matrix(K, dofs, np.arange(space.num_dofs)).toarray()
+    C = constrain_matrix([BlockTerm(K, 1.0, 0, 0)], space.num_dofs, dofs,
+                         np.arange(space.num_dofs)).toarray()
     np.testing.assert_allclose(C, C.T, atol=1e-14)
     np.testing.assert_allclose(C[np.ix_(dofs, dofs)], np.eye(dofs.size), atol=1e-15)
     free = np.setdiff1d(np.arange(space.num_dofs), dofs)
@@ -268,8 +273,9 @@ def test_apply_dirichlet_reproduces_linear_solution():
     space = Space(mesh, "p2")
     K = assemble_form(P_STIFFNESS, space, space)
     dofs = space.boundary_scalar_dofs((1, 3))
-    A = constrain_matrix(K, dofs, np.arange(space.num_dofs))
-    b = constrain_rhs(dirichlet_columns(K, dofs), np.zeros(space.num_dofs), dofs,
+    terms, n = [BlockTerm(K, 1.0, 0, 0)], space.num_dofs
+    A = constrain_matrix(terms, n, dofs, np.arange(n))
+    b = constrain_rhs(dirichlet_columns(terms, n, dofs), np.zeros(n), dofs,
                       interpolate(space, lambda x, y: x)[dofs])
     u = spla.spsolve(A, b)
     np.testing.assert_allclose(u, space.dof_coords()[:, 0], atol=1e-12)
@@ -453,8 +459,8 @@ def test_block_orders_factor_on_distorted_mesh(distorted, name):
     case = make_case("nu03")
     system = build_system(distorted, case.params, benchmark_loads(case))
     order = system.discretization.orders[name]
-    A, dofs = system._block(name)
-    assert np.array_equal(np.sort(order), np.arange(A.shape[0]))
+    _, n, dofs = system._block(name)
+    assert np.array_equal(np.sort(order), np.arange(n))
     system.solve(name, np.ones(len(order)), np.ones(len(dofs)))
     assert system.factors[name].max_rel_residual < 1e-11
 
@@ -471,6 +477,13 @@ def product_elimination(A, dofs):
     return out
 
 
+def in_factor_order(C, order):
+    """``C[order][:, order]`` as a canonical CSR."""
+    out = C[order][:, order]
+    out.sort_indices()
+    return out
+
+
 def assert_same_bits(got, expect):
     assert got.format == expect.format and got.shape == expect.shape
     for name in ("indptr", "indices", "data"):
@@ -478,23 +491,52 @@ def assert_same_bits(got, expect):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def assert_eliminates_like_the_formulas(A, dofs, order):
+def assert_eliminates_like_the_formulas(terms, n, dofs, order, A):
+    # A is the raw matrix of the terms, by the bmat formula
     expect = product_elimination(A, dofs)
-    assert_same_bits(constrain_matrix(A, dofs, order), expect[order][:, order].tocsc())
+    assert_same_bits(constrain_matrix(terms, n, dofs, order), in_factor_order(expect, order))
     # in the natural order it is the matrix that --dump-matrix writes
-    natural = constrain_matrix(A, dofs, np.arange(A.shape[0]))
-    assert_same_bits(natural.tocsr(), expect)
-    columns, expect = dirichlet_columns(A, dofs), sparse.csc_matrix(A)[:, dofs]
+    assert_same_bits(constrain_matrix(terms, n, dofs, np.arange(n)), expect)
+    columns, expect = dirichlet_columns(terms, n, dofs), sparse.csc_matrix(A)[:, dofs]
     assert_same_bits(columns, expect)
     values = np.random.default_rng(3).standard_normal(len(dofs))
     assert (columns @ values).tobytes() == (expect @ values).tobytes()
 
 
-@pytest.mark.parametrize("name", ["coupled", "stokes", "pressure"])
+@pytest.mark.parametrize("name", ["coupled", "stokes", "pressure", "mass"])
 def test_one_pass_elimination_matches_the_formulas(distorted, name):
     case = make_case("nu03")
     system = build_system(distorted, case.params, benchmark_loads(case))
-    assert_eliminates_like_the_formulas(*system._block(name), system.discretization.orders[name])
+    assert_eliminates_like_the_formulas(*system._block(name), system.discretization.orders[name],
+                                        block_matrix(system, name)[0])
+
+
+@pytest.mark.parametrize("name", ["coupled", "stokes", "pressure", "mass"])
+@pytest.mark.parametrize("preset", ["nu03", "c00"])
+@pytest.mark.parametrize("n", [4, 16, 32])
+def test_elimination_matches_the_formulas_on_uniform_meshes(n, preset, name):
+    case = make_case(preset)
+    system = build_system(build_uniform(n), case.params, benchmark_loads(case))
+    assert_eliminates_like_the_formulas(*system._block(name), system.discretization.orders[name],
+                                        block_matrix(system, name)[0])
+
+
+def test_elimination_peak_memory_is_a_small_multiple_of_its_output():
+    # the terms go straight into the factor-order index and value arrays and
+    # one CSR conversion; the raw bmat block and its elimination took 3.87x
+    case = make_case("nu03")
+    system = build_system(build_uniform(32), case.params, benchmark_loads(case))
+    order = system.discretization.orders["coupled"]
+    tracemalloc.start()
+    try:
+        terms, n, dofs = system._block("coupled")
+        columns = dirichlet_columns(terms, n, dofs)
+        matrix = constrain_matrix(terms, n, dofs, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for m in (matrix, columns) for a in (m.data, m.indices, m.indptr))
+    assert peak <= 3.0 * size
 
 
 def test_one_pass_elimination_without_a_stored_diagonal():
@@ -505,8 +547,9 @@ def test_one_pass_elimination_without_a_stored_diagonal():
         np.array([0, 1, 3, 0, 2, 4, 1, 2, 0, 3, 4, 1, 3, 4]),
         np.array([0, 3, 6, 8, 11, 14])), shape=(5, 5))
     dofs = np.array([1, 2])
-    assert_eliminates_like_the_formulas(A, dofs, np.array([3, 1, 4, 0, 2]))
-    C = constrain_matrix(A, dofs, np.arange(5)).tocsr()
+    terms = [BlockTerm(A, 1.0, 0, 0)]
+    assert_eliminates_like_the_formulas(terms, 5, dofs, np.array([3, 1, 4, 0, 2]), A)
+    C = constrain_matrix(terms, 5, dofs, np.arange(5))
     np.testing.assert_array_equal(C.toarray()[np.ix_(dofs, dofs)], np.eye(2))
     assert C.indices[C.indptr[3]:C.indptr[4]].tolist() == [0, 4]
 
@@ -514,8 +557,8 @@ def test_one_pass_elimination_without_a_stored_diagonal():
 @pytest.mark.parametrize("name", ["coupled", "stokes", "pressure", "mass"])
 @pytest.mark.parametrize("where", ["distorted", "uniform-16"])
 def test_superlu_gets_the_permuted_elimination(distorted, monkeypatch, where, name):
-    # the matrix handed to SuperLU is bit for bit the elimination permuted
-    # into the factor order, as the copies it replaced computed it
+    # the kept matrix is bit for bit the elimination permuted into the factor
+    # order, and SuperLU gets its arrays, read as the CSC of its transpose
     mesh = distorted if where == "distorted" else build_uniform(16)
     case = make_case("nu03")
     system = build_system(mesh, case.params, benchmark_loads(case))
@@ -527,8 +570,11 @@ def test_superlu_gets_the_permuted_elimination(distorted, monkeypatch, where, na
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", keep)
-    A, dofs = system._block(name)
+    A, dofs = block_matrix(system, name)
     system.solve(name, np.zeros(A.shape[0]), np.zeros(len(dofs)))
     order = system.discretization.orders[name]
-    assert len(factored) == 1 and factored[0] is system.factors[name].matrix
-    assert_same_bits(factored[0], product_elimination(A, dofs)[order][:, order].tocsc())
+    kept = system.factors[name].matrix
+    assert len(factored) == 1 and factored[0].format == "csc"
+    for array in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(factored[0], array), getattr(kept, array)), array
+    assert_same_bits(kept, in_factor_order(product_elimination(A, dofs), order))

@@ -230,7 +230,8 @@ def test_run_study_calls_the_module_level_names(monkeypatch):
     # The traced benchmark wraps these names on their modules, so run_study
     # must look each one up when it calls it.
     calls = collections.Counter()
-    for name in ("step_coupled", "step_te_decoupled", "step_iterative", "lu_factor"):
+    for name in ("step_coupled", "step_te_decoupled", "step_iterative", "lu_factor",
+                 "constrain_matrix", "dirichlet_columns"):
         counting(monkeypatch, calls, biot, name)
     counting(monkeypatch, calls, benchmark, "build_system")
     case = make_case("nu03", T=2e-3)  # two steps per level, two levels
@@ -239,6 +240,8 @@ def test_run_study_calls_the_module_level_names(monkeypatch):
         "te": {"build_system": 2, "lu_factor": 4, "step_te_decoupled": 4},
         "iterative": {"build_system": 2, "lu_factor": 4, "step_iterative": 4},
     }
+    for want in expected.values():  # one elimination per factorization
+        want["constrain_matrix"] = want["dirichlet_columns"] = want["lu_factor"]
     for algorithm, want in expected.items():
         calls.clear()
         run_study(algorithm, case, levels=2, n0=2,

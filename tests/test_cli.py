@@ -296,6 +296,20 @@ def test_unwritable_report_returns_1_with_one_error_line(tmp_path, capsys, flag)
     assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--out-csv", ""], ["--out-json", ""], ["--dump-matrix", ""], ["--out-csv="],
+    ["--out-csv", "", "--dump-matrix", ""],
+], ids=["out-csv", "out-json", "dump-matrix", "out-csv=", "out-csv-and-dump-matrix"])
+def test_empty_flag_value_is_an_error(tmp_path, capsys, monkeypatch, flags):
+    # an empty path is not "no file": the run stops before it writes anything
+    monkeypatch.chdir(tmp_path)
+    assert main(TINY + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: argument {flags[0].rstrip('=')}: empty path")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("line", ["check =", "check = ,", "out_csv =   # no file"])
 def test_empty_config_value_is_an_error(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

@@ -12,21 +12,22 @@ from biotsplit.benchmark import benchmark_loads, make_case, run_study
 from biotsplit.biot import build_system
 from biotsplit.linalg import SingularMatrixError, lu_factor
 from biotsplit.mesh import TriMesh, build_uniform, dissection_keys, refine
+from helpers import block_matrix
 
 
 def random_spd(n, rng):
     B = rng.standard_normal((n, n))
-    return sparse.csc_matrix(B @ B.T + n * np.eye(n))
+    return sparse.csr_matrix(B @ B.T + n * np.eye(n))
 
 
 def test_lu_identity():
-    fact = lu_factor(sparse.eye(5, format="csc"), np.arange(5))
+    fact = lu_factor(sparse.eye(5, format="csr"), np.arange(5))
     b = np.arange(5.0)
     np.testing.assert_allclose(fact.solve(b), b, atol=1e-15)
 
 
 def test_lu_two_by_two():
-    A = sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    A = sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     x = lu_factor(A, np.arange(2)).solve(np.array([3.0, 3.0]))
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
@@ -35,7 +36,7 @@ def test_lu_random_spd_residual(rng):
     A = random_spd(40, rng)
     b = rng.standard_normal(40)
     order = rng.permutation(40)
-    fact = lu_factor(A[order][:, order].tocsc(), order)
+    fact = lu_factor(A[order][:, order], order)
     x = fact.solve(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-11
     assert fact.num_solves == 1
@@ -44,13 +45,14 @@ def test_lu_random_spd_residual(rng):
 
 def test_lu_rejects_nonsquare():
     with pytest.raises(ValueError):
-        lu_factor(sparse.csc_matrix(np.ones((2, 3))), np.arange(2))
+        lu_factor(sparse.csr_matrix(np.ones((2, 3))), np.arange(2))
 
 
-def test_lu_takes_only_csc(rng):
-    # any other format would reach SuperLU only through a hidden copy
-    with pytest.raises(ValueError, match="CSC"):
-        lu_factor(random_spd(4, rng).tocsr(), np.arange(4))
+def test_lu_takes_only_csr(rng):
+    # SuperLU gets the transpose of a CSR without a copy; any other format
+    # would reach it only through a hidden copy
+    with pytest.raises(ValueError, match="CSR"):
+        lu_factor(random_spd(4, rng).tocsc(), np.arange(4))
 
 
 @pytest.mark.parametrize("order", [
@@ -70,26 +72,26 @@ def test_lu_names_empty_row_and_column():
     A = np.eye(4)
     A[2, 2] = 0.0
     with pytest.raises(SingularMatrixError, match="row 2"):
-        lu_factor(sparse.csc_matrix(A), np.arange(4))
+        lu_factor(sparse.csr_matrix(A), np.arange(4))
     # named by their index in the system, not in the factor order
     order = np.array([3, 2, 0, 1])
     with pytest.raises(SingularMatrixError, match="row 2"):
-        lu_factor(sparse.csc_matrix(A[np.ix_(order, order)]), order)
+        lu_factor(sparse.csr_matrix(A[np.ix_(order, order)]), order)
     B = np.zeros((3, 3))
     B[0, 0] = B[1, 1] = 1.0
     B[0, 2] = 1.0  # row 2 empty stays reported first; make column 2 nonempty
     with pytest.raises(SingularMatrixError, match="row 2"):
-        lu_factor(sparse.csc_matrix(B), np.arange(3))
+        lu_factor(sparse.csr_matrix(B), np.arange(3))
     C = np.zeros((3, 3))
     C[0, 0] = C[1, 1] = 1.0
     C[2, 0] = 1.0  # rows all nonempty, column 2 empty
     with pytest.raises(SingularMatrixError, match="column 2"):
-        lu_factor(sparse.csc_matrix(C), np.arange(3))
+        lu_factor(sparse.csr_matrix(C), np.arange(3))
 
 
 def test_lu_numerically_singular():
     # structurally full but rank-deficient
-    A = sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    A = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
         lu_factor(A, np.arange(2))
 
@@ -111,7 +113,7 @@ def permuted_nonsymmetric(rng):
     # diagonal entries are structurally zero, so pivots must leave the diagonal
     n = 60
     D = sparse.random(n, n, density=0.1, random_state=rng) + 10.0 * sparse.eye(n)
-    return sparse.csc_matrix(sparse.eye(n, format="csr")[rng.permutation(n)] @ D)
+    return sparse.csr_matrix(sparse.eye(n, format="csr")[rng.permutation(n)] @ D)
 
 
 def coupled_swap_blocks(rng):
@@ -119,7 +121,7 @@ def coupled_swap_blocks(rng):
     k = 30
     swap = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     chain = sparse.diags([np.ones(k - 1), np.ones(k - 1)], [-1, 1])
-    return sparse.csc_matrix(sparse.kron(sparse.eye(k), swap)
+    return sparse.csr_matrix(sparse.kron(sparse.eye(k), swap)
                              + 0.1 * sparse.kron(chain, sparse.eye(2)))
 
 
@@ -129,8 +131,19 @@ def test_lu_solves_matrices_with_zero_diagonal(make, rng):
     assert np.count_nonzero(A.diagonal()) < A.shape[0] // 2
     b = rng.standard_normal(A.shape[0])
     fact = lu_factor(A, np.arange(A.shape[0]))
-    fact.solve(b)
+    x = fact.solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
     assert fact.max_rel_residual < 1e-12
+
+
+def test_lu_solves_the_system_and_not_its_transpose(rng):
+    # SuperLU factors A^T; its transposed solve must give A x = b
+    A = permuted_nonsymmetric(rng)
+    b = rng.standard_normal(A.shape[0])
+    order = rng.permutation(A.shape[0])
+    x = lu_factor(A[order][:, order], order).solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(A.T @ x - b) > 0.1 * np.linalg.norm(b)
 
 
 def _fill(lu):
@@ -147,12 +160,13 @@ def systems_32(request):
 def test_lu_fill_is_below_colamd(systems_32, name, bound):
     # the symmetric order keeps its fill only with diagonal pivots; a pivot
     # threshold of 1e-2 already leaves the diagonal on nu0499 and loses it
-    A, dofs = systems_32._block(name)
+    terms, n, dofs = systems_32._block(name)
     order = systems_32.discretization.orders[name]
-    fact = lu_factor(constrain_matrix(A, dofs, order), order)
-    colamd = spla.splu(constrain_matrix(A, dofs, np.arange(A.shape[0])), permc_spec="COLAMD")
+    fact = lu_factor(constrain_matrix(terms, n, dofs, order), order)
+    colamd = spla.splu(constrain_matrix(terms, n, dofs, np.arange(n)).tocsc(),
+                       permc_spec="COLAMD")
     assert _fill(fact._lu) <= bound * _fill(colamd)
-    b = np.ones(A.shape[0])
+    b = np.ones(n)
     fact.solve(b)
     assert fact.max_rel_residual < 1e-11
 
@@ -163,11 +177,11 @@ def test_coupled_fill_at_64_is_below_the_minimum_degree_fill():
     case = make_case("nu03")
     system = build_system(refine(refine(build_uniform(16))), case.params,
                           benchmark_loads(case))
-    A, dofs = system._block("coupled")
+    terms, n, dofs = system._block("coupled")
     order = system.discretization.orders["coupled"]
-    fact = lu_factor(constrain_matrix(A, dofs, order), order)
+    fact = lu_factor(constrain_matrix(terms, n, dofs, order), order)
     assert _fill(fact._lu) <= 0.8 * 13.38e6
-    fact.solve(np.ones(A.shape[0]))
+    fact.solve(np.ones(n))
     assert fact.max_rel_residual < 1e-11
 
 
@@ -200,7 +214,7 @@ def test_grid_line_cuts_separate_the_coupled_system(small_case_8):
     nv = mesh.num_vertices
     kv = dissection_keys(mesh, system.V.dof_coords())
     keys = np.concatenate([kv, kv, kv[:nv], kv[:nv]])
-    pattern = system._block("coupled")[0]
+    pattern = block_matrix(system, "coupled")[0]
     assert _cut_crossings(pattern, keys) == 0
     assert np.array_equal(np.argsort(keys, kind="stable"), system.discretization.orders["coupled"])
     # one more node half a step left of the square moves every cut onto the
