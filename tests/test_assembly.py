@@ -523,7 +523,7 @@ def test_elimination_matches_the_formulas_on_uniform_meshes(n, preset, name):
 
 def test_elimination_peak_memory_is_a_small_multiple_of_its_output():
     # the terms go straight into the factor-order index and value arrays and
-    # one CSR conversion; the raw bmat block and its elimination took 3.87x
+    # one CSR conversion; the raw bmat block and its elimination read 3.86x
     case = make_case("nu03")
     system = build_system(build_uniform(32), case.params, benchmark_loads(case))
     order = system.discretization.orders["coupled"]
