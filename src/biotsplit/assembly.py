@@ -302,19 +302,6 @@ def constrain_matrix(terms, n: int, dofs: np.ndarray, order: np.ndarray) -> spar
     return sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
 
 
-def constrain_rhs(columns: sparse.spmatrix, b: np.ndarray, dofs: np.ndarray,
-                  values: np.ndarray) -> np.ndarray:
-    """Right-hand side matching :func:`constrain_matrix`.
-
-    ``columns`` is the unconstrained matrix's column slice from
-    :func:`dirichlet_columns`.  Moves the known boundary values through it
-    (b <- b - A[:, dofs] @ values) and pins the constrained entries.
-    """
-    out = b - columns @ values
-    out[dofs] = values
-    return out
-
-
 def dirichlet_columns(terms, n: int, dofs: np.ndarray) -> sparse.csc_matrix:
     """Column slice A[:, dofs] of distinct ``dofs``, with A the ``n x n`` sum
     of ``terms``, used for boundary-value elimination (precomputable).  The

@@ -298,7 +298,7 @@ def run_study(algorithm: str, case: ManufacturedCase, levels: int, n0: int = 16,
                 f"level {level} (1/h={n0 * 2 ** (level - 1)}) failed: {exc}") from exc
         rows.append(LevelResult(level=level, inv_h=n0 * 2 ** (level - 1),
                                 errors=compute_errors(sys, state, case),
-                                max_residual=sys.max_solver_residual(),
+                                max_residual=sys.max_residual,
                                 steps=num_steps))
         if level < levels:
             mesh = refine(mesh)

@@ -26,15 +26,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .assembly import (BOUNDARY_FLUX, BOUNDARY_TRACTION, DIV_COUPLING, DIV_DIV,
                        ELASTICITY, MASS, P_STIFFNESS, VOLUME_LOAD, BlockTerm,
                        PhysParams, assemble_form, assemble_functional, constrain_matrix,
-                       constrain_rhs, dirichlet_columns)
+                       dirichlet_columns)
 from .fem import P1, P2_VECTOR, Space, interpolate
 from .linalg import Factorization, lu_factor
 from .mesh import DIRICHLET_TAGS, TriMesh, dissection_keys
@@ -143,9 +142,11 @@ class DiscreteSystem:
     ``gu_profile``/``gp_profile`` are the nodal interpolants of the
     Dirichlet profiles at ``bd_u``/``bd_p``.
 
-    Each block system is factored on its first ``solve`` and kept in
-    ``factors``; factors are never shared between systems, and every solve
-    enters ``max_solver_residual``.
+    ``solve`` is the one place that knows a block system's numbering: each
+    block is factored in its nested-dissection order on its first solve and
+    kept in ``factors`` (never shared between systems), and every solve
+    enters ``max_residual``, the worst relative residual of any solve on this
+    system so far (NaN once any was NaN).
     """
 
     def __init__(self, mesh: TriMesh, params: PhysParams, loads: LoadSet):
@@ -172,6 +173,7 @@ class DiscreteSystem:
         self.gp_profile = _nodal_values(self.M, loads.pressure_bc, self.bd_p)
         self.factors: dict[str, Factorization] = {}
         self._boundary: dict[str, tuple] = {}  # name -> (Dirichlet dofs, their columns)
+        self.max_residual = 0.0
 
     # -- block systems ------------------------------------------------------
 
@@ -216,17 +218,25 @@ class DiscreteSystem:
         from its unit forms straight into its factor order
         (``discretization.orders``), as the CSR that is factored; no raw block
         matrix is built, so the factored matrix, kept for the residuals, is
-        the one copy.
+        the one copy.  Each solve moves the known values through those
+        columns, pins them, gathers the result into the factor order, solves
+        there and scatters the solution back.
         """
+        order = self.discretization.orders[name]
         if name not in self.factors:
             terms, n, dofs = self._block(name)
-            order = self.discretization.orders[name]
             self._boundary[name] = dofs, dirichlet_columns(terms, n, dofs)
             constrained = constrain_matrix(terms, n, dofs, order)
             del terms
-            self.factors[name] = lu_factor(constrained, order)
+            self.factors[name] = lu_factor(constrained)
         dofs, columns = self._boundary[name]
-        return self.factors[name].solve(constrain_rhs(columns, b, dofs, values))
+        b = b - columns @ values
+        b[dofs] = values
+        y, residual = self.factors[name].solve(b[order])
+        self.max_residual = float(np.maximum(self.max_residual, residual))  # NaN sticks
+        x = np.empty_like(y)
+        x[order] = y
+        return x
 
     # -- norms and diagnostics --------------------------------------------
 
@@ -237,11 +247,6 @@ class DiscreteSystem:
     def strain_norm(self, u_values: np.ndarray) -> float:
         """L2 norm of the symmetric gradient of a vector coefficient field."""
         return float(np.sqrt(max(u_values @ (self.elasticity @ u_values), 0.0)))
-
-    def max_solver_residual(self) -> float:
-        """Worst relative residual of any solve so far; NaN if any was NaN."""
-        return float(np.max([f.max_rel_residual for f in self.factors.values()],
-                            initial=0.0))
 
     def project_total_pressure(self, u_values: np.ndarray,
                                p_values: np.ndarray) -> np.ndarray:
@@ -349,12 +354,12 @@ def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = No
     xi^{n,i+1} - xi^{n,i}.
     """
     check_iteration_settings(iters, tol)
-    xi_i = state.xi
+    it_state = state
     increments: list[float] = []
-    budget = iters if iters is not None else MAX_SWEEPS
-    for it_state in islice(_split_sweeps(sys, state), budget):
-        increments.append(sys.l2_p1(it_state.xi - xi_i))
+    for _ in range(iters if iters is not None else MAX_SWEEPS):
         xi_i = it_state.xi
+        it_state = sweep(sys, state, xi_i)
+        increments.append(sys.l2_p1(it_state.xi - xi_i))
         if tol is not None and not math.isfinite(increments[-1]):
             raise ConvergenceFailure(
                 f"decoupling increment is not finite ({increments[-1]}) at "
@@ -369,18 +374,16 @@ def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = No
     return it_state, increments
 
 
-def _split_sweeps(sys: DiscreteSystem, state: BiotState) -> Iterator[BiotState]:
-    """The split iterates of the step after ``state``: one pressure solve and
-    one Stokes solve per sweep, starting from ``state``."""
+def sweep(sys: DiscreteSystem, state: BiotState, xi: np.ndarray) -> BiotState:
+    """One split sweep of the step after ``state``, from the total-pressure
+    iterate ``xi``: the pressure solve, then the Stokes solve with its
+    pressure."""
     t = state.t + sys.params.dt
     gu, gp = sys._bc_values(t)
-    base = sys._pressure_rhs_base(state, t)
     _, c_xi = sys._coef
-    xi_i = state.xi
-    while True:
-        p_i = sys.solve("pressure", base + c_xi * (sys.mass @ xi_i), gp)
-        u_i, xi_i = _solve_stokes(sys, p_i, t, gu)
-        yield BiotState(u_i, xi_i, p_i, t)
+    p_new = sys.solve("pressure", sys._pressure_rhs_base(state, t) + c_xi * (sys.mass @ xi), gp)
+    u_new, xi_new = _solve_stokes(sys, p_new, t, gu)
+    return BiotState(u_new, xi_new, p_new, t)
 
 
 class ConvergenceFailure(RuntimeError):
@@ -474,7 +477,9 @@ def contraction_monitor(sys: DiscreteSystem, state: BiotState,
     reference = step_coupled(sys, state)
     xi_errors = [sys.l2_p1(state.xi - reference.xi)]
     p_errors, strain_errors = [], []
-    for it_state in islice(_split_sweeps(sys, state), imax):
+    it_state = state
+    for _ in range(imax):
+        it_state = sweep(sys, state, it_state.xi)
         xi_errors.append(sys.l2_p1(it_state.xi - reference.xi))
         p_errors.append(sys.l2_p1(it_state.p - reference.p))
         strain_errors.append(sys.strain_norm(it_state.u - reference.u))

@@ -1,11 +1,12 @@
 """Reference computations that only the tests use: mesh geometry, point
 evaluation of a finite-element field, the raw block systems, the strong-form
-residual of the manufactured solution, and the power bound of the split
-iteration."""
+residual of the manufactured solution, and the power bound and exact rate of
+the split iteration."""
 import numpy as np
 import scipy.sparse as sparse
 
 from biotsplit.benchmark import PI
+from biotsplit.biot import BiotState, sweep
 from biotsplit.fem import affine_maps, eval_basis
 
 
@@ -108,3 +109,14 @@ def power_bound_margins(report) -> np.ndarray:
     (nonnegative iff the bound holds)."""
     i = np.arange(1, len(report.xi_errors))
     return report.rho ** i * report.xi_errors[0] - report.xi_errors[1:]
+
+
+def split_rate(system) -> float:
+    """Exact rate of the split iteration on ``system``: the spectral radius of
+    its linear part T.  The iteration is affine in xi, and on zero data
+    (``system`` built with ``LoadSet()``, zero state) it is T itself, so T is
+    built column by column from one sweep per unit xi."""
+    m = system.M.num_dofs
+    zero = BiotState(np.zeros(system.V.num_dofs), np.zeros(m), np.zeros(m), 0.0)
+    T = np.column_stack([sweep(system, zero, unit).xi for unit in np.eye(m)])
+    return float(np.abs(np.linalg.eigvals(T)).max())

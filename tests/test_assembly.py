@@ -25,7 +25,6 @@ from biotsplit.assembly import (
     assemble_form,
     assemble_functional,
     constrain_matrix,
-    constrain_rhs,
     dirichlet_columns,
     export_matrix,
 )
@@ -275,8 +274,9 @@ def test_apply_dirichlet_reproduces_linear_solution():
     dofs = space.boundary_scalar_dofs((1, 3))
     terms, n = [BlockTerm(K, 1.0, 0, 0)], space.num_dofs
     A = constrain_matrix(terms, n, dofs, np.arange(n))
-    b = constrain_rhs(dirichlet_columns(terms, n, dofs), np.zeros(n), dofs,
-                      interpolate(space, lambda x, y: x)[dofs])
+    g = interpolate(space, lambda x, y: x)[dofs]
+    b = -(dirichlet_columns(terms, n, dofs) @ g)
+    b[dofs] = g
     u = spla.spsolve(A, b)
     np.testing.assert_allclose(u, space.dof_coords()[:, 0], atol=1e-12)
 
@@ -462,7 +462,7 @@ def test_block_orders_factor_on_distorted_mesh(distorted, name):
     _, n, dofs = system._block(name)
     assert np.array_equal(np.sort(order), np.arange(n))
     system.solve(name, np.ones(len(order)), np.ones(len(dofs)))
-    assert system.factors[name].max_rel_residual < 1e-11
+    assert system.max_residual < 1e-11
 
 
 def product_elimination(A, dofs):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from biotsplit import benchmark, biot
+from biotsplit import benchmark, biot, linalg
 from biotsplit.benchmark import (
     CSV_HEADER,
     ErrorSet,
@@ -145,7 +145,7 @@ def test_run_study_validation(nu03_case):
 
 
 def test_run_study_names_failing_level(nu03_case, monkeypatch):
-    def failing_factor(A, order):
+    def failing_factor(A):
         raise SingularMatrixError("forced")
 
     monkeypatch.setattr(biot, "lu_factor", failing_factor)
@@ -217,7 +217,8 @@ def test_nan_residual_taints_the_study(tiny_study, level):
 
 
 def counting(monkeypatch, calls, module, name):
-    """Rebind ``module.name`` to count its calls in ``calls[name]``."""
+    """Rebind ``module.name`` (a module's or a class's) to count its calls in
+    ``calls[name]``."""
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
@@ -227,18 +228,20 @@ def counting(monkeypatch, calls, module, name):
 
 
 def test_run_study_calls_the_module_level_names(monkeypatch):
-    # The traced benchmark wraps these names on their modules, so run_study
-    # must look each one up when it calls it.
+    # The traced benchmark wraps these names on their modules, and
+    # Factorization.solve on its class, so run_study must look each one up
+    # when it calls it.
     calls = collections.Counter()
     for name in ("step_coupled", "step_te_decoupled", "step_iterative", "lu_factor",
                  "constrain_matrix", "dirichlet_columns"):
         counting(monkeypatch, calls, biot, name)
     counting(monkeypatch, calls, benchmark, "build_system")
+    counting(monkeypatch, calls, linalg.Factorization, "solve")
     case = make_case("nu03", T=2e-3)  # two steps per level, two levels
     expected = {
-        "coupled": {"build_system": 2, "lu_factor": 2, "step_coupled": 4},
-        "te": {"build_system": 2, "lu_factor": 4, "step_te_decoupled": 4},
-        "iterative": {"build_system": 2, "lu_factor": 4, "step_iterative": 4},
+        "coupled": {"build_system": 2, "lu_factor": 2, "step_coupled": 4, "solve": 4},
+        "te": {"build_system": 2, "lu_factor": 4, "step_te_decoupled": 4, "solve": 8},
+        "iterative": {"build_system": 2, "lu_factor": 4, "step_iterative": 4, "solve": 16},
     }
     for want in expected.values():  # one elimination per factorization
         want["constrain_matrix"] = want["dirichlet_columns"] = want["lu_factor"]

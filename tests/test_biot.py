@@ -23,7 +23,7 @@ from biotsplit.biot import (
 )
 from biotsplit.mesh import TriMesh, build_uniform, refine
 
-from helpers import power_bound_margins
+from helpers import power_bound_margins, split_rate
 
 
 def zero_state(system):
@@ -131,6 +131,31 @@ def test_vanishing_storage_still_contracts(c00_system, c00_initial):
     assert errors[-1] <= 1e-4 * errors[0]
 
 
+#: The parameter grid of the exact-rate test: a preset and its overrides.
+RATE_GRID = [
+    ("nu03", {}), ("nu0499", {}), ("c00", {}), ("lowk", {}),
+    ("nu03", dict(dt=0.1, T=0.1)), ("nu03", dict(c0=1e-3)), ("nu03", dict(nu=0.01)),
+    ("nu0499", dict(c0=0.0)), ("nu03", dict(alpha=10.0)),
+]
+
+
+@pytest.mark.parametrize("preset, overrides", RATE_GRID,
+                         ids=[p + "".join(f"-{k}={v:g}" for k, v in o.items())
+                              for p, o in RATE_GRID])
+def test_split_rate_is_below_rho_at_every_mesh(preset, overrides):
+    # the paper's claim: the split iteration contracts whatever the physical
+    # parameters; its exact rate r(T) stays below rho, below 1 even where
+    # c0 = 0 makes rho = 1, and converges as h shrinks
+    params = make_case(preset, **overrides).params
+    r4, r8, r16 = (split_rate(build_system(build_uniform(n), params, LoadSet()))
+                   for n in (4, 8, 16))
+    rho = params.contraction_factor
+    assert max(r4, r8, r16) <= rho * (1 + 1e-9), (r4, r8, r16, rho)
+    if params.c0 == 0.0:
+        assert r16 < 1.0
+    assert r16 < r8 + abs(r8 - r4), (r4, r8, r16)
+
+
 def sweep_counts(mesh, case, steps, tol):
     """Sweeps of each ``tol``-mode step, and each step's bound
     1 + log(tol / first increment) / log(rho)."""
@@ -206,18 +231,17 @@ def test_dirichlet_data_is_the_nodal_interpolant(small_system, nu03_case):
 
 def test_solver_residuals_are_tracked(small_system, small_initial):
     advance(small_system, small_initial, 2, "coupled")
-    r = small_system.max_solver_residual()
-    assert 0.0 < r < 1e-9
+    assert 0.0 < small_system.max_residual < 1e-9
 
 
 def test_nan_solve_shows_in_max_solver_residual(nu03_case):
     # the P1 mass solve of project_total_pressure is logged like every other
     system = build_system(build_uniform(2), nu03_case.params, LoadSet())
     advance(system, zero_state(system), 1, "coupled")
-    assert system.max_solver_residual() == 0.0
+    assert system.max_residual == 0.0
     u = np.full(system.V.num_dofs, np.nan)
     system.project_total_pressure(u, np.zeros(system.M.num_dofs))
-    assert np.isnan(system.max_solver_residual())
+    assert np.isnan(system.max_residual)
 
 
 def test_equal_meshes_share_one_discretization(nu03_case):

@@ -279,9 +279,9 @@ def test_dump_matrix_needs_no_extra_factorization(tmp_path, capsys, monkeypatch)
     calls = []
     original = biot.lu_factor
 
-    def counted(A, order):
+    def counted(A):
         calls.append(A.shape)
-        return original(A, order)
+        return original(A)
     monkeypatch.setattr(biot, "lu_factor", counted)
     assert main(TINY + ["--dump-matrix", str(tmp_path / "coupled.mtx")]) == 0
     capsys.readouterr()
