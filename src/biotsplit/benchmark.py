@@ -25,6 +25,7 @@ from .assembly import PhysParams
 from .biot import (STEPPERS, BiotState, DiscreteSystem, LoadSet, advance, build_system,
                    check_iteration_settings)
 from .fem import affine_maps, eval_basis, interpolate, physical_points, quadrature
+from .linalg import scaled_norms
 from .mesh import CELL_SPLIT, build_uniform, refine
 
 #: Named parameter presets; unlisted values fall back to PhysParams defaults.
@@ -205,16 +206,23 @@ def compute_errors(sys: DiscreteSystem, state: BiotState, case: ManufacturedCase
                              f"space has {space.num_dofs} dofs")
         vals, grads_ref = eval_basis(space.scalar_kind, rule.points)
         sdofs = space.cell_dofs()
-        l2sq = gradsq = 0.0
+        diffs, gdiffs = [], []
         for c, coefficients in enumerate(np.reshape(values, (space.components, -1))):
             C = coefficients[sdofs]
-            diff = C @ vals - exact[c]
+            diffs.append(C @ vals - exact[c])
             # gradients in reference coordinates (nt, nq, 2), mapped once per triangle
             grads = (C @ grads_ref.reshape(len(grads_ref), -1)).reshape(len(C), -1, 2) @ inv
-            gdiff = grads - np.moveaxis(grad_exact[c], 0, -1)
-            l2sq += float(np.sum(weights * diff ** 2))
-            gradsq += float(np.sum(weights[:, :, None] * gdiff ** 2))
-        return np.sqrt(l2sq), np.sqrt(l2sq + gradsq)
+            gdiffs.append(grads - np.moveaxis(grad_exact[c], 0, -1))
+
+        def norms(*arrays):  # the diffs, then the gdiffs
+            l2sq = gradsq = 0.0
+            for diff, gdiff in zip(arrays[:len(diffs)], arrays[len(diffs):]):
+                l2sq += float(np.sum(weights * diff ** 2))
+                gradsq += float(np.sum(weights[:, :, None] * gdiff ** 2))
+            return np.sqrt(l2sq), np.sqrt(l2sq + gradsq)
+
+        scale, (l2, h1) = scaled_norms(norms, *diffs, *gdiffs)
+        return l2 / scale, h1 / scale
 
     l2u, h1u = errors(sys.V, state.u, tf * case.u_profile(xq, yq),
                       tf * case.grad_u_profile(xq, yq))
@@ -223,6 +231,10 @@ def compute_errors(sys: DiscreteSystem, state: BiotState, case: ManufacturedCase
     l2p, h1p = errors(sys.M, state.p, [tf * case.p_profile(xq, yq)],
                       [tf * case.grad_p_profile(xq, yq)])
     return ErrorSet(l2u, h1u, l2xi, h1xi, l2p, h1p)
+
+
+#: A study whose worst relative solver residual is above this is tainted.
+TAINT_LIMIT = 1e-9
 
 
 @dataclass
@@ -258,7 +270,7 @@ class StudyResult:
 
     @property
     def tainted(self) -> bool:
-        return not self.max_residual <= 1e-9
+        return not self.max_residual <= TAINT_LIMIT
 
 
 def run_study(algorithm: str, case: ManufacturedCase, levels: int, n0: int = 16,

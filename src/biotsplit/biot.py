@@ -79,7 +79,7 @@ class Discretization:
     ``V`` is the P2 vector space of u, ``M`` the one P1 space of xi and p;
     ``bd_u``/``bd_p`` are the dofs of u and p on the sides ``DIRICHLET_TAGS``
     (xi has none); ``orders`` holds the nested-dissection order of each
-    block system.
+    block system (``pressure`` and ``mass`` share one array).
 
     Forms (unit coefficients, scaled on use):
       elasticity  (eps(u), eps(v))     vector x vector
@@ -103,14 +103,15 @@ class Discretization:
         bd = V.boundary_scalar_dofs(DIRICHLET_TAGS)
         self.bd_u = np.concatenate([bd, bd + V.num_scalar_dofs])
         self.bd_p = M.boundary_scalar_dofs(DIRICHLET_TAGS)
-        # Each block's rows (u_x, u_y, then xi, then p) sorted by the keys of
-        # their nodes.  The P1 nodes are the P2 vertices, so their keys are
-        # the vertex prefix.
+        # The coupled rows (u_x, u_y, xi, p) sorted by the keys of their nodes
+        # (a P1 node's key is its P2 vertex's).  The sort is stable, so the
+        # Stokes order is this one without the p rows and the P1 order its p rows.
         kv = dissection_keys(mesh, V.dof_coords())
         km = kv[:mesh.num_vertices]
-        self.orders = {name: np.argsort(np.concatenate(rows), kind="stable") for name, rows in (
-            ("coupled", (kv, kv, km, km)), ("stokes", (kv, kv, km)),
-            ("pressure", (km,)), ("mass", (km,)))}
+        coupled = np.argsort(np.concatenate([kv, kv, km, km]), kind="stable")
+        p_rows = coupled >= self.offsets[2]
+        p1 = coupled[p_rows] - self.offsets[2]
+        self.orders = {"coupled": coupled, "stokes": coupled[~p_rows], "pressure": p1, "mass": p1}
 
         arrays = [self.bd_u, self.bd_p, *self.orders.values()]
         for form in (self.elasticity, self.div_coupling, self.mass, self.stiffness):
@@ -142,11 +143,12 @@ class DiscreteSystem:
     ``gu_profile``/``gp_profile`` are the nodal interpolants of the
     Dirichlet profiles at ``bd_u``/``bd_p``.
 
-    ``solve`` is the one place that knows a block system's numbering: each
-    block is factored in its nested-dissection order on its first solve and
-    kept in ``factors`` (never shared between systems), and every solve
-    enters ``max_residual``, the worst relative residual of any solve on this
-    system so far (NaN once any was NaN).
+    ``solve`` is the one place that knows a block system's numbering and
+    Dirichlet data: each block is factored in its nested-dissection order on
+    its first solve and kept in ``factors`` (never shared between systems),
+    its Dirichlet values at time t are its profile times ``time_factor(t)``,
+    and every solve enters ``max_residual``, the worst relative residual of
+    any solve on this system so far (NaN once any was NaN).
     """
 
     def __init__(self, mesh: TriMesh, params: PhysParams, loads: LoadSet):
@@ -171,6 +173,9 @@ class DiscreteSystem:
 
         self.gu_profile = _nodal_values(self.V, loads.displacement_bc, self.bd_u)
         self.gp_profile = _nodal_values(self.M, loads.pressure_bc, self.bd_p)
+        self._dirichlet = {"coupled": np.concatenate([self.gu_profile, self.gp_profile]),
+                           "stokes": self.gu_profile, "pressure": self.gp_profile,
+                           "mass": np.zeros(0)}
         self.factors: dict[str, Factorization] = {}
         self._boundary: dict[str, tuple] = {}  # name -> (Dirichlet dofs, their columns)
         self.max_residual = 0.0
@@ -210,9 +215,10 @@ class DiscreteSystem:
             ], self.offsets[3], np.concatenate([self.bd_u, nw + self.bd_p])
         raise ValueError(f"unknown block system {name!r}")
 
-    def solve(self, name: str, b: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def solve(self, name: str, b: np.ndarray, t: float) -> np.ndarray:
         """Solve the ``coupled``, ``stokes``, ``pressure`` or ``mass`` system for
-        the raw right-hand side ``b`` with Dirichlet values ``values``.
+        the raw right-hand side ``b`` at time ``t``: the Dirichlet values are the
+        block's profile (``[gu; gp]``, ``gu``, ``gp``, none) times ``time_factor(t)``.
 
         The first solve takes the block's Dirichlet columns and eliminates it
         from its unit forms straight into its factor order
@@ -230,6 +236,7 @@ class DiscreteSystem:
             del terms
             self.factors[name] = lu_factor(constrained)
         dofs, columns = self._boundary[name]
+        values = self.loads.time_factor(t) * self._dirichlet[name]
         b = b - columns @ values
         b[dofs] = values
         y, residual = self.factors[name].solve(b[order])
@@ -257,13 +264,9 @@ class DiscreteSystem:
         """
         p = self.params
         rhs = p.alpha * (self.mass @ p_values) - p.lam * (self.div_coupling.T @ u_values)
-        return self.solve("mass", rhs, np.zeros(0))
+        return self.solve("mass", rhs, 0.0)
 
     # -- shared right-hand-side pieces ------------------------------------
-
-    def _bc_values(self, t: float):
-        tf = self.loads.time_factor(t)
-        return tf * self.gu_profile, tf * self.gp_profile
 
     def _pressure_rhs_base(self, state: BiotState, t: float) -> np.ndarray:
         """dt*(Q_s + g2 terms) + (c0+a^2/lam)*M p_prev - (a/lam)*M xi_prev."""
@@ -286,43 +289,36 @@ def build_system(mesh: TriMesh, params: PhysParams, loads: LoadSet) -> DiscreteS
 
 def step_coupled(sys: DiscreteSystem, state: BiotState) -> BiotState:
     """One backward-Euler step of the monolithic three-field system."""
-    p = sys.params
-    t = state.t + p.dt
-    tf = sys.loads.time_factor(t)
-    nw = sys.offsets[2] - sys.offsets[1]
-    b = np.concatenate([
-        tf * sys.fu_profile,
-        np.zeros(nw),
-        -sys._pressure_rhs_base(state, t),
-    ])
-    gu, gp = sys._bc_values(t)
-    x = sys.solve("coupled", b, np.concatenate([gu, gp]))
-    o = sys.offsets
-    return BiotState(x[o[0]:o[1]], x[o[1]:o[2]], x[o[2]:o[3]], t)
+    t = state.t + sys.params.dt
+    b = np.concatenate([sys.loads.time_factor(t) * sys.fu_profile,
+                        np.zeros(sys.offsets[2] - sys.offsets[1]),
+                        -sys._pressure_rhs_base(state, t)])
+    u, xi, p = np.split(sys.solve("coupled", b, t), sys.offsets[1:3])
+    return BiotState(u, xi, p, t)
 
 
-def _solve_stokes(sys: DiscreteSystem, p_values: np.ndarray, t: float,
-                  gu: np.ndarray):
+def _solve_stokes(sys: DiscreteSystem, p_values: np.ndarray, t: float):
     """Generalized Stokes solve for (u, xi) given a pressure field."""
     _, c_xi = sys._coef
-    tf = sys.loads.time_factor(t)
-    b = np.concatenate([tf * sys.fu_profile, -c_xi * (sys.mass @ p_values)])
-    x = sys.solve("stokes", b, gu)
-    nv = sys.offsets[1]
-    return x[:nv], x[nv:]
+    b = np.concatenate([sys.loads.time_factor(t) * sys.fu_profile,
+                        -c_xi * (sys.mass @ p_values)])
+    return np.split(sys.solve("stokes", b, t), [sys.offsets[1]])
+
+
+def _solve_pressure(sys: DiscreteSystem, state: BiotState, xi: np.ndarray,
+                    t: float) -> np.ndarray:
+    """Reaction-diffusion solve for p of the step after ``state`` given a
+    total-pressure field."""
+    _, c_xi = sys._coef
+    return sys.solve("pressure", sys._pressure_rhs_base(state, t) + c_xi * (sys.mass @ xi), t)
 
 
 def step_te_decoupled(sys: DiscreteSystem, state: BiotState) -> BiotState:
     """One time-extrapolated decoupled step: Stokes with the lagged pressure,
     then the reaction-diffusion update with the fresh total pressure."""
-    p = sys.params
-    t = state.t + p.dt
-    gu, gp = sys._bc_values(t)
-    u_new, xi_new = _solve_stokes(sys, state.p, t, gu)
-    _, c_xi = sys._coef
-    b_p = sys._pressure_rhs_base(state, t) + c_xi * (sys.mass @ xi_new)
-    p_new = sys.solve("pressure", b_p, gp)
-    return BiotState(u_new, xi_new, p_new, t)
+    t = state.t + sys.params.dt
+    u, xi = _solve_stokes(sys, state.p, t)
+    return BiotState(u, xi, _solve_pressure(sys, state, xi, t), t)
 
 
 def check_iteration_settings(iters: int | None, tol: float | None) -> None:
@@ -376,14 +372,11 @@ def step_iterative(sys: DiscreteSystem, state: BiotState, iters: int | None = No
 
 def sweep(sys: DiscreteSystem, state: BiotState, xi: np.ndarray) -> BiotState:
     """One split sweep of the step after ``state``, from the total-pressure
-    iterate ``xi``: the pressure solve, then the Stokes solve with its
-    pressure."""
+    iterate ``xi``: the te step's two half-steps in the other order."""
     t = state.t + sys.params.dt
-    gu, gp = sys._bc_values(t)
-    _, c_xi = sys._coef
-    p_new = sys.solve("pressure", sys._pressure_rhs_base(state, t) + c_xi * (sys.mass @ xi), gp)
-    u_new, xi_new = _solve_stokes(sys, p_new, t, gu)
-    return BiotState(u_new, xi_new, p_new, t)
+    p = _solve_pressure(sys, state, xi, t)
+    u, xi = _solve_stokes(sys, p, t)
+    return BiotState(u, xi, p, t)
 
 
 class ConvergenceFailure(RuntimeError):

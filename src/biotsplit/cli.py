@@ -24,15 +24,13 @@ from dataclasses import fields
 import numpy as np
 
 from .assembly import PhysParams, constrain_matrix, export_matrix
-from .benchmark import (PRESETS, benchmark_loads, homogeneous_loads, initial_state,
-                        make_case, run_study, study_csv, study_report, write_csv,
-                        write_json)
+from .benchmark import (PRESETS, TAINT_LIMIT, benchmark_loads, homogeneous_loads,
+                        initial_state, make_case, run_study, study_csv, study_report,
+                        write_csv, write_json)
 from .biot import (STEPPERS, BiotState, LoadSet, advance, build_system,
                    contraction_monitor, energy_check, korn_check)
 from .fem import interpolate
 from .mesh import build_uniform, refine
-
-CHECK_NAMES = ("energy", "contraction", "korn", "rates")
 
 #: Finest-level rate floors for the coupled algorithm (order matches ErrorSet).
 RATE_FLOORS = {"l2_u": 1.8, "h1_u": 1.8, "l2_xi": 1.8, "h1_xi": 0.9,
@@ -76,7 +74,7 @@ def _build_parser() -> _Parser:
                    help="number of mesh levels (default 4)")
     p.add_argument("--iter", type=int, help="fixed iteration count (iterative)")
     p.add_argument("--tol", type=float, help="increment tolerance (iterative)")
-    p.add_argument("--check", action="append", choices=CHECK_NAMES, dest="checks",
+    p.add_argument("--check", action="append", choices=CHECKS, dest="checks",
                    help="self-check to run (repeatable)")
     p.add_argument("--out-csv", dest="out_csv", type=_path, help="write the error table here")
     p.add_argument("--out-json", dest="out_json", type=_path,
@@ -137,17 +135,17 @@ def _effective_case(config: argparse.Namespace):
 
 
 # ---------------------------------------------------------------------------
-# self-checks
+# self-checks: each takes (study, case, n0) and returns (passed, detail)
 # ---------------------------------------------------------------------------
 
-def _check_rates(study) -> tuple[bool, dict]:
+def _check_rates(study, case, n0: int) -> tuple[bool, dict]:
     finest = study.rates()[-1]
     bad = {k: finest[k] for k, floor in RATE_FLOORS.items() if not finest[k] >= floor}
     detail = {"finest_rates": finest, "floors": RATE_FLOORS, "violations": bad}
     return not bad, detail
 
 
-def _check_energy(case, n0: int) -> tuple[bool, dict]:
+def _check_energy(study, case, n0: int) -> tuple[bool, dict]:
     system = build_system(build_uniform(n0), case.params, homogeneous_loads(case))
     u0 = interpolate(system.V, case.u_profile)
     u0[system.bd_u] = 0.0
@@ -162,7 +160,7 @@ def _check_energy(case, n0: int) -> tuple[bool, dict]:
                 "J0": report.J[0], "J_final": report.J[-1]}
 
 
-def _check_contraction(case, n0: int) -> tuple[bool, dict]:
+def _check_contraction(study, case, n0: int) -> tuple[bool, dict]:
     params = case.params
     system = build_system(build_uniform(n0), params, benchmark_loads(case))
     imax = 25 if params.c0 > 0 else 80
@@ -187,7 +185,7 @@ def _check_contraction(case, n0: int) -> tuple[bool, dict]:
     return ok, detail
 
 
-def _check_korn(case, n0: int) -> tuple[bool, dict]:
+def _check_korn(study, case, n0: int) -> tuple[bool, dict]:
     detail, ok = {}, True
     mesh = build_uniform(n0)
     for label in ("coarse", "fine"):
@@ -198,6 +196,10 @@ def _check_korn(case, n0: int) -> tuple[bool, dict]:
         ok = ok and violations == 0
         mesh = refine(mesh)
     return ok, detail
+
+
+CHECKS = {"energy": _check_energy, "contraction": _check_contraction, "korn": _check_korn,
+          "rates": _check_rates}
 
 
 def run(config: argparse.Namespace) -> int:
@@ -220,14 +222,7 @@ def run(config: argparse.Namespace) -> int:
 
     checks, failures = {}, []
     for name in config.checks:
-        if name == "rates":
-            ok, detail = _check_rates(study)
-        elif name == "energy":
-            ok, detail = _check_energy(case, config.n0)
-        elif name == "contraction":
-            ok, detail = _check_contraction(case, config.n0)
-        else:
-            ok, detail = _check_korn(case, config.n0)
+        ok, detail = CHECKS[name](study, case, config.n0)
         checks[name] = {"passed": ok, **detail}
         if not ok:
             failures.append({"check": name, "detail": detail})
@@ -236,7 +231,7 @@ def run(config: argparse.Namespace) -> int:
     for name in config.checks:
         print(f"check {name}: {'PASS' if checks[name]['passed'] else 'FAIL'}")
     if study.tainted:
-        print(f"warning: solver residual {study.max_residual:.3e} exceeded 1e-9; "
+        print(f"warning: solver residual {study.max_residual:.3e} exceeded {TAINT_LIMIT:g}; "
               f"report marked tainted", file=sys.stderr)
 
     if config.out_csv and not _write_artifact(write_csv, study, config.out_csv):

@@ -53,17 +53,27 @@ class Factorization:
 
 
 def _relative_residual(r: np.ndarray, b: np.ndarray) -> float:
-    """``||r|| / ||b||``, or ``||r||`` when b is zero.  When a square of the
-    norms overflows or underflows (entries beyond about 1e154 or below
-    1e-154), both are taken again scaled by a power of two, which is exact."""
+    """``||r|| / ||b||``, or ``||r||`` when b is zero."""
+    scale, (rnorm, bnorm) = scaled_norms(
+        lambda r, b: (float(np.linalg.norm(r)), float(np.linalg.norm(b))), r, b)
+    return rnorm / bnorm if bnorm > 0 else rnorm / scale
+
+
+def scaled_norms(norms, *arrays) -> tuple[float, tuple]:
+    """``(s, norms(*(s * a for a in arrays)))``, where ``norms`` returns square
+    roots of sums of squares of the arrays' entries.  s is 1 unless a square
+    overflows or underflows (entries beyond about 1e154 or below 1e-154), so
+    that a result is not finite or is zero while an entry is not; then it is
+    the power of two that brings the largest entry into [1/2, 1), which is exact."""
     with np.errstate(over="ignore", under="ignore"):
-        rnorm, bnorm = float(np.linalg.norm(r)), float(np.linalg.norm(b))
-    if not (math.isfinite(rnorm) and 0.0 < bnorm < math.inf):
-        top = float(np.abs(b).max(initial=0.0))
-        if 0.0 < top < math.inf:
-            scale = math.ldexp(1.0, -math.frexp(top)[1])
-            rnorm, bnorm = float(np.linalg.norm(scale * r)), float(np.linalg.norm(scale * b))
-    return rnorm / bnorm if bnorm > 0 else rnorm
+        out = norms(*arrays)
+        if all(0.0 < v < math.inf for v in out):
+            return 1.0, out
+        top = float(np.max([np.abs(a).max(initial=0.0) for a in arrays]))
+        if not 0.0 < top < math.inf:  # all zero, or a non-finite entry
+            return 1.0, out
+        scale = math.ldexp(1.0, -math.frexp(top)[1])
+        return scale, norms(*(scale * a for a in arrays))
 
 
 def lu_factor(A: sparse.csr_matrix) -> Factorization:

@@ -29,9 +29,10 @@ from biotsplit.assembly import (
     export_matrix,
 )
 from biotsplit.benchmark import benchmark_loads, compute_errors, make_case
-from biotsplit.biot import BiotState, LoadSet, build_system
+from biotsplit.biot import BiotState, LoadSet, build_system, discretize
 from biotsplit.fem import Space, affine_maps, eval_basis, interpolate, quadrature
-from biotsplit.mesh import DIRICHLET_TAGS, NEUMANN_TAGS, TriMesh, build_uniform
+from biotsplit.mesh import (DIRICHLET_TAGS, NEUMANN_TAGS, TriMesh, build_uniform,
+                            dissection_keys)
 from helpers import block_matrix
 
 
@@ -459,10 +460,27 @@ def test_block_orders_factor_on_distorted_mesh(distorted, name):
     case = make_case("nu03")
     system = build_system(distorted, case.params, benchmark_loads(case))
     order = system.discretization.orders[name]
-    _, n, dofs = system._block(name)
+    n = system._block(name)[1]
     assert np.array_equal(np.sort(order), np.arange(n))
-    system.solve(name, np.ones(len(order)), np.ones(len(dofs)))
+    system.solve(name, np.ones(n), 1.0)
     assert system.max_residual < 1e-11
+
+
+@pytest.mark.parametrize("where", ["distorted", "uniform-16"])
+def test_one_stable_sort_numbers_every_block(distorted, where):
+    # the Stokes and P1 orders are the stable sorts of their own keys, and
+    # every order is one read-only intp array (numpy casts any other index
+    # type on every gather and scatter), pressure and mass the same
+    mesh = distorted if where == "distorted" else build_uniform(16)
+    d = discretize(mesh)
+    kv = dissection_keys(mesh, d.V.dof_coords())
+    km = kv[:mesh.num_vertices]
+    assert np.array_equal(d.orders["stokes"], np.argsort(np.concatenate([kv, kv, km]),
+                                                         kind="stable"))
+    assert np.array_equal(d.orders["pressure"], np.argsort(km, kind="stable"))
+    assert d.orders["mass"] is d.orders["pressure"]
+    for order in d.orders.values():
+        assert order.dtype == np.intp and not order.flags.writeable
 
 
 def product_elimination(A, dofs):
@@ -571,7 +589,7 @@ def test_superlu_gets_the_permuted_elimination(distorted, monkeypatch, where, na
 
     monkeypatch.setattr(spla, "splu", keep)
     A, dofs = block_matrix(system, name)
-    system.solve(name, np.zeros(A.shape[0]), np.zeros(len(dofs)))
+    system.solve(name, np.zeros(A.shape[0]), 0.0)
     order = system.discretization.orders[name]
     kept = system.factors[name].matrix
     assert len(factored) == 1 and factored[0].format == "csc"

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,19 @@ def test_coupled_study_rates_on_coarse_chain():
     assert rate["h1_u"] == pytest.approx(2.0, abs=0.3)
     assert rate["l2_p"] == pytest.approx(2.0, abs=0.3)
     assert rate["h1_p"] == pytest.approx(1.0, abs=0.3)
+
+
+def test_errors_beyond_1e154_do_not_overflow():
+    # E = 1e160 gives xi errors near 1e159: their squares overflow, so the
+    # sums are taken again scaled by a power of two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        study = run_study("coupled", make_case("nu03", E=1e160), levels=2, n0=4)
+        rates = study.rates()[1]
+    errors = np.array([row.errors.as_tuple() for row in study.rows])
+    assert np.all(np.isfinite(errors)) and np.all(errors > 0)
+    assert errors[0, ErrorSet.COLUMNS.index("l2_xi")] > 1e154
+    assert all(math.isfinite(rate) for rate in rates.values())
 
 
 def test_csv_layout(tiny_study):

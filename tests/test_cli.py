@@ -9,7 +9,7 @@ import scipy.io
 
 from biotsplit import biot, cli
 from biotsplit.benchmark import PRESETS, make_case, write_json
-from biotsplit.cli import (CHECK_NAMES, RATE_FLOORS, ConfigError, _check_contraction,
+from biotsplit.cli import (CHECKS, RATE_FLOORS, ConfigError, _check_contraction,
                            _check_rates, main, parse_config)
 
 TINY = ["--preset", "nu03", "--T", "2e-3", "--n0", "4", "--levels", "2"]
@@ -45,7 +45,7 @@ def test_checks_merge_without_duplicates(tmp_path):
     config = parse_config(["--config", str(cfg), "--check", "korn",
                            "--check", "energy"])
     assert config.checks == ("korn", "energy")
-    assert set(config.checks) <= set(CHECK_NAMES)
+    assert set(config.checks) <= set(CHECKS)
     cfg.write_text("check = rates, rates\n")
     assert parse_config(["--config", str(cfg)]).checks == ("rates",)
 
@@ -114,7 +114,7 @@ def test_help_names_every_algorithm_preset_and_check(capsys):
         main(["--help"])
     assert info.value.code == 0
     text = capsys.readouterr().out
-    for name in (*biot.STEPPERS, *PRESETS, *CHECK_NAMES):
+    for name in (*biot.STEPPERS, *PRESETS, *CHECKS):
         assert name in text, name
 
 
@@ -146,9 +146,9 @@ def test_invalid_physical_parameter_exits_2(capsys):
 def test_nan_rate_fails_rate_check():
     finest = {k: floor + 0.5 for k, floor in RATE_FLOORS.items()}
     study = SimpleNamespace(rates=lambda: [None, finest])
-    assert _check_rates(study)[0]
+    assert _check_rates(study, None, 4)[0]
     finest["h1_p"] = float("nan")
-    ok, detail = _check_rates(study)
+    ok, detail = _check_rates(study, None, 4)
     assert not ok
     assert list(detail["violations"]) == ["h1_p"]
 
@@ -229,7 +229,7 @@ def test_contraction_check_fails_on_a_ratio_above_rho(monkeypatch):
         return dataclasses.replace(report, xi_errors=e)
 
     monkeypatch.setattr(cli, "contraction_monitor", stalled)
-    ok, detail = _check_contraction(make_case("nu0499"), 4)
+    ok, detail = _check_contraction(None, make_case("nu0499"), 4)
     assert detail["max_ratio"] == 1.0 > detail["rho"]
     assert detail["num_ratios"] < 20 and detail["pressure_bound_ok"] and detail["strain_bound_ok"]
     assert ok is False
@@ -332,6 +332,6 @@ def test_c0_zero_contraction_check_measures_increases_against_the_scale(monkeypa
         return dataclasses.replace(report, xi_errors=e, scale=1e-3)
 
     monkeypatch.setattr(cli, "contraction_monitor", creeping)
-    ok, detail = _check_contraction(make_case("c00"), 4)
+    ok, detail = _check_contraction(None, make_case("c00"), 4)
     assert detail["nonincreasing"] is False and detail["reduction_reached_at"] > 0
     assert ok is False
