@@ -239,7 +239,7 @@ class DiscreteSystem:
         values = self.loads.time_factor(t) * self._dirichlet[name]
         b = b - columns @ values
         b[dofs] = values
-        y, residual = self.factors[name].solve(b[order])
+        y, residual = self.factors[name].solve(b.take(order))
         self.max_residual = float(np.maximum(self.max_residual, residual))  # NaN sticks
         x = np.empty_like(y)
         x[order] = y

@@ -7,8 +7,10 @@ Usage sketch::
     biotsplit --preset nu03 --check contraction --check energy
 
 Exit status is 0 when the study ran and every requested check passed, 1 when
-a check failed, a level failed to solve or a report could not be written, and
-2 for a configuration error; an error is reported as one ``error:`` line.
+a check failed, a level failed to solve, a solve missed the residual limit
+(the report is still written, marked tainted, with a ``warning:`` line) or a
+report could not be written, and 2 for a configuration error; an error is
+reported as one ``error:`` line.
 The argument parser is the one declaration of the run settings: a flat
 ``key = value`` config file (--config) is read as the flags ``--key=value``
 ahead of the command line, so explicit flags override it.  The parser checks
@@ -249,7 +251,7 @@ def run(config: argparse.Namespace) -> int:
         if not _write_artifact(export_matrix, natural, config.dump_matrix):
             return 1
 
-    return 0 if not failures else 1
+    return 1 if failures or study.tainted else 0
 
 
 def _write_artifact(writer, payload, path: str) -> bool:

@@ -10,6 +10,8 @@ the transposed solve; it measured no faster than the plain one.  SuperLU
 keeps the order because the pivots stay on the diagonal: the block systems
 are symmetric quasi-definite or SPD, and those factor stably with diagonal
 pivots in any symmetric order (Vanderbei, SIAM J. Optim. 5, 1995).
+Each factorization first returns the allocator's free heap pages to the OS
+(glibc's ``malloc_trim``; nothing is called where the C library lacks it).
 
 Every solve returns its relative residual ``||Ax - b|| / ||b||``, so the
 caller can prove after the fact that no linear system was solved sloppily;
@@ -17,6 +19,7 @@ a factorization keeps no state that a solve changes.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -27,6 +30,9 @@ import scipy.sparse.linalg as spla
 class SingularMatrixError(RuntimeError):
     """Factorization hit a singular pivot."""
 
+
+#: glibc's ``malloc_trim``, or None where the C library has no such symbol.
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
 
 #: Phrases of SuperLU's allocator failures, as they appear in ``splu`` errors.
 _OUT_OF_MEMORY = ("SUPERLU_MALLOC", "Can't expand MemType")
@@ -115,6 +121,11 @@ def lu_factor(A: sparse.csr_matrix) -> Factorization:
         col = int(np.argmin(col_counts))
         raise SingularMatrixError(f"matrix is structurally singular: column {col} is empty")
     what = f"sparse LU of a {n}x{n} matrix with {A.nnz} nonzeros"
+    # The factor grows without reusing the heap's freed blocks (left by earlier
+    # levels, load functionals and the elimination's temporaries), so they would
+    # stay resident beside it; the peak RSS falls inside the largest factorization.
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     try:
         lu = spla.splu(A.T, permc_spec="NATURAL", diag_pivot_thresh=1e-3,
                        options=dict(SymmetricMode=True))

@@ -183,6 +183,18 @@ def test_tiny_run_writes_csv_and_json(tmp_path, capsys):
     assert report["solver"]["tainted"] is False
 
 
+def test_tainted_study_writes_its_reports_and_exits_1(tmp_path, capsys):
+    # with mu and lambda near 1e-200 the unscaled blocks do not solve: the
+    # level-2 residuals are NaN, so the study did not solve and must not pass
+    csv_path = tmp_path / "table.csv"
+    code = main(["--preset", "nu03", "--n0", "4", "--levels", "2", "--E", "1e-200",
+                 "--out-csv", str(csv_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "warning: solver residual nan exceeded 1e-09; report marked tainted" in captured.err
+    assert csv_path.read_text() == captured.out
+
+
 def test_checks_pass_on_sound_configuration(tmp_path, capsys):
     json_path = tmp_path / "report.json"
     code = main(TINY + ["--check", "energy", "--check", "korn",

@@ -278,6 +278,32 @@ def test_lu_exactly_singular_stays_singular(monkeypatch, rng):
         lu_factor(random_spd(12, rng))
 
 
+def test_lu_returns_the_free_heap_before_superlu(monkeypatch, rng):
+    events = []
+    monkeypatch.setattr(linalg, "_malloc_trim", lambda pad: events.append(("trim", pad)))
+    splu = spla.splu
+
+    def recorded(*args, **kwargs):
+        events.append(("splu",))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", recorded)
+    lu_factor(random_spd(12, rng))
+    assert events == [("trim", 0), ("splu",)]
+
+
+def test_lu_factors_where_the_c_library_has_no_malloc_trim(monkeypatch, rng):
+    cases = [(sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])), np.array([3.0, 3.0])),
+             (random_spd(40, rng), rng.standard_normal(40))]
+    trimmed = [lu_factor(A).solve(b) for A, b in cases]
+    monkeypatch.setattr(linalg, "_malloc_trim", None)
+    untrimmed = [lu_factor(A).solve(b) for A, b in cases]
+    for (x, residual), (y, same) in zip(trimmed, untrimmed):
+        assert np.array_equal(x, y) and residual == same
+    np.testing.assert_allclose(untrimmed[0][0], [1.0, 1.0], atol=1e-14)
+    assert untrimmed[1][1] < 1e-11
+
+
 def test_run_study_names_out_of_memory(monkeypatch):
     exc = RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()")
     monkeypatch.setattr(linalg.spla, "splu", _splu_raising(exc))
