@@ -31,8 +31,21 @@ class SingularMatrixError(RuntimeError):
     """Factorization hit a singular pivot."""
 
 
-#: glibc's ``malloc_trim``, or None where the C library has no such symbol.
-_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+def _find_malloc_trim():
+    """glibc's ``int malloc_trim(size_t pad)``, or None where there is none:
+    the C library lacks the symbol (macOS, musl) or ``CDLL(None)`` cannot
+    open the running program (Windows raises TypeError there)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+#: Resolved once at import; ``lu_factor`` calls it when it is not None.
+_malloc_trim = _find_malloc_trim()
 
 #: Phrases of SuperLU's allocator failures, as they appear in ``splu`` errors.
 _OUT_OF_MEMORY = ("SUPERLU_MALLOC", "Can't expand MemType")

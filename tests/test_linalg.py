@@ -1,4 +1,6 @@
 """Direct solver contracts."""
+import ctypes
+import importlib.util
 import tracemalloc
 import warnings
 
@@ -302,6 +304,42 @@ def test_lu_factors_where_the_c_library_has_no_malloc_trim(monkeypatch, rng):
         assert np.array_equal(x, y) and residual == same
     np.testing.assert_allclose(untrimmed[0][0], [1.0, 1.0], atol=1e-14)
     assert untrimmed[1][1] < 1e-11
+
+
+class _NoMallocTrim:
+    """A C library without ``malloc_trim``."""
+
+
+def _cdll_raising(exc):
+    def cdll(name, *args, **kwargs):
+        raise exc
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [_cdll_raising(TypeError("argument of type 'NoneType' "
+                                                           "is not iterable")),
+                                  _cdll_raising(OSError("cannot open the program")),
+                                  lambda name, *args, **kwargs: _NoMallocTrim()],
+                         ids=["windows", "no-program-handle", "no-symbol"])
+def test_linalg_imports_without_malloc_trim(monkeypatch, rng, cdll):
+    # a fresh copy of the module runs the import-time lookup under the
+    # patched ctypes; it must neither fail nor warn (warnings are errors here)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    spec = importlib.util.spec_from_file_location("_linalg_without_trim", linalg.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec.loader.exec_module(module)
+    assert module._malloc_trim is None
+    A, b = random_spd(12, rng), rng.standard_normal(12)
+    assert module.lu_factor(A).solve(b)[1] < 1e-12
+
+
+def test_malloc_trim_is_declared_with_its_c_signature():
+    if linalg._malloc_trim is None:
+        pytest.skip("the C library has no malloc_trim")
+    assert linalg._malloc_trim.argtypes == [ctypes.c_size_t]
+    assert linalg._malloc_trim.restype is ctypes.c_int
 
 
 def test_run_study_names_out_of_memory(monkeypatch):
