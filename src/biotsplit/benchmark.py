@@ -281,7 +281,9 @@ def run_study(algorithm: str, case: ManufacturedCase, levels: int, n0: int = 16,
     ``n0`` cells per side and each level halves h.  ``iters``/``tol`` apply
     to the iterative algorithm only, and giving either to another algorithm
     is an error.  Invalid settings raise ``ValueError`` before any level is
-    built; a failing level raises ``RuntimeError``.
+    built; a failing level raises ``RuntimeError``.  Each level's
+    factorizations are dropped after its last solve, before its errors are
+    evaluated.
     """
     if levels < 2:
         raise ValueError(f"need at least 2 levels for rates, got {levels}")
@@ -308,9 +310,13 @@ def run_study(algorithm: str, case: ManufacturedCase, levels: int, n0: int = 16,
         except Exception as exc:
             raise RuntimeError(
                 f"level {level} (1/h={n0 * 2 ** (level - 1)}) failed: {exc}") from exc
+        # The error evaluation needs no solver, and its quadrature temporaries
+        # would otherwise stack on the level's largest factor: drop the factors.
+        max_residual = sys.max_residual
+        sys.factors.clear()
         rows.append(LevelResult(level=level, inv_h=n0 * 2 ** (level - 1),
                                 errors=compute_errors(sys, state, case),
-                                max_residual=sys.max_residual,
+                                max_residual=max_residual,
                                 steps=num_steps))
         if level < levels:
             mesh = refine(mesh)

@@ -14,6 +14,7 @@ from biotsplit.benchmark import (
     CSV_HEADER,
     ErrorSet,
     PRESETS,
+    benchmark_loads,
     compute_errors,
     initial_state,
     make_case,
@@ -23,10 +24,10 @@ from biotsplit.benchmark import (
     write_csv,
     write_json,
 )
-from biotsplit.biot import BiotState, LoadSet, build_system
+from biotsplit.biot import BiotState, LoadSet, advance, build_system
 from biotsplit.fem import interpolate
 from biotsplit.linalg import SingularMatrixError
-from biotsplit.mesh import build_uniform
+from biotsplit.mesh import build_uniform, refine
 
 # Rows of study_csv(run_study(..., levels=3, n0=4)) on nu03, frozen: a change
 # to the arithmetic of assembly, solves or error norms shows up here as
@@ -264,6 +265,27 @@ def test_run_study_calls_the_module_level_names(monkeypatch):
         run_study(algorithm, case, levels=2, n0=2,
                   iters=2 if algorithm == "iterative" else None)
         assert calls == want, algorithm
+
+
+def test_each_level_drops_its_factors_before_its_errors(monkeypatch):
+    # the error evaluation solves nothing, so a level's factorizations are
+    # released before it; the row keeps the residual its solves logged
+    seen = []
+    original = benchmark.compute_errors
+
+    def recording(system, state, case):
+        seen.append((len(system.factors), system.max_residual))
+        return original(system, state, case)
+    monkeypatch.setattr(benchmark, "compute_errors", recording)
+    case = make_case("nu03", T=2e-3)
+    study = run_study("iterative", case, levels=2, n0=4, iters=2)
+    assert [count for count, _ in seen] == [0, 0]
+    mesh = build_uniform(4)
+    for row, (_, residual) in zip(study.rows, seen):
+        system = build_system(mesh, case.params, benchmark_loads(case))
+        advance(system, initial_state(system, case), row.steps, "iterative", iters=2)
+        assert row.max_residual == residual == system.max_residual > 0.0
+        mesh = refine(mesh)
 
 
 def test_a_second_study_on_the_chain_assembles_no_form(monkeypatch):

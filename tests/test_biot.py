@@ -1,4 +1,5 @@
 """Time-stepper cross-validation and the analysis-backed diagnostics."""
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from biotsplit.biot import (
     step_iterative,
     step_te_decoupled,
 )
+from biotsplit.fem import interpolate
+from biotsplit.linalg import lu_factor
 from biotsplit.mesh import TriMesh, build_uniform, refine
 
 from helpers import power_bound_margins, split_rate
@@ -194,6 +197,61 @@ def test_energy_identity_along_coupled_trajectory(nu03_case):
     assert len(report.J) == 11
 
 
+#: The parameter rows of the energy-decay test: a preset and its overrides.
+DECAY_GRID = [
+    ("nu03", {}), ("nu0499", {}), ("c00", {}), ("nu0499", dict(c0=0.0)),
+    ("nu03", dict(alpha=10.0)), ("nu03", dict(nu=0.01)), ("nu03", dict(K=1e-8)),
+]
+#: Scheme label -> (algorithm, sweeps); te is the one expected to gain energy.
+DECAY_SCHEMES = {"coupled": ("coupled", None), "iter1": ("iterative", 1),
+                 "iter2": ("iterative", 2), "iter5": ("iterative", 5), "te": ("te", None)}
+
+
+def test_energy_decays_for_the_stable_schemes_and_rises_for_te():
+    # the paper's title claim: with no loads the energy J^n of the coupled and
+    # of the iteratively decoupled scheme, at any sweep count, never grows,
+    # whatever the parameters, time step and mesh; te's can, which shows that
+    # the bound tells a stable scheme from an unstable one
+    worst = dict.fromkeys(DECAY_SCHEMES, -math.inf)
+    for (preset, overrides), dt, n in itertools.product(
+            DECAY_GRID, (1e-6, 1e-4, 1e-2, 1.0, 100.0), (4, 8)):
+        case = make_case(preset, dt=dt, T=20 * dt, **overrides)
+        system = build_system(build_uniform(n), case.params, LoadSet())
+        u0 = interpolate(system.V, case.u_profile)
+        u0[system.bd_u] = 0.0
+        p0 = interpolate(system.M, case.p_profile)
+        p0[system.bd_p] = 0.0
+        start = BiotState(u0, system.project_total_pressure(u0, p0), p0, 0.0)
+        for label, (algorithm, iters) in DECAY_SCHEMES.items():
+            states = advance(system, start, 20, algorithm, iters=iters, keep_states=True)
+            J = energy_check(system, states).J
+            worst[label] = max(worst[label], float(np.max(J[1:] / J[:-1] - 1.0)))
+        assert system.max_residual <= 1e-9, (preset, overrides, dt, n)
+    for label in ("coupled", "iter1", "iter2", "iter5"):
+        assert worst[label] <= 1e-12, (label, worst)
+    assert worst["te"] > 1e-12, worst
+
+
+def test_dropped_factors_are_factored_again_to_the_same_bits(nu03_case, monkeypatch, rng):
+    # ``factors`` is a cache: a solve after clearing it factors the block
+    # anew and returns the first solve's solution and residual
+    calls = []
+    monkeypatch.setattr(biot, "lu_factor", lambda A: calls.append(A) or lu_factor(A))
+    system = build_system(build_uniform(4), nu03_case.params, benchmark_loads(nu03_case))
+    for name, n in (("coupled", system.offsets[3]), ("stokes", system.offsets[2]),
+                    ("pressure", system.M.num_dofs), ("mass", system.M.num_dofs)):
+        b = rng.standard_normal(n)
+        runs = []
+        for _ in range(2):
+            system.factors.clear()
+            system.max_residual = 0.0
+            runs.append((system.solve(name, b, 0.5), system.max_residual))
+        (first, residual), (again, residual_again) = runs
+        np.testing.assert_array_equal(again, first)
+        assert residual_again == residual <= 1e-9, name
+    assert len(calls) == 8
+
+
 def test_korn_bound_on_random_fields(small_system):
     max_ratio, violations = korn_check(small_system, num_fields=100, seed=1)
     assert violations == 0
@@ -201,8 +259,6 @@ def test_korn_bound_on_random_fields(small_system):
 
 
 def test_projected_total_pressure_satisfies_constraint(small_system, nu03_case):
-    from biotsplit.fem import interpolate
-
     params = nu03_case.params
     u = interpolate(small_system.V, nu03_case.u_profile)
     p = interpolate(small_system.M, nu03_case.p_profile)
