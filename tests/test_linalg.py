@@ -170,6 +170,19 @@ def test_lu_fill_is_below_colamd(systems_32, name, bound):
     assert fact.solve(np.ones(n))[1] < 1e-11
 
 
+@pytest.mark.parametrize("name", ["stokes", "coupled", "pressure"])
+def test_lu_panel_width_keeps_the_fill_and_the_diagonal_pivots(systems_32, name):
+    # the narrow panel only saves workspace: the factor has the fill of
+    # scipy's default panel, and every pivot stays on the diagonal
+    terms, n, dofs = systems_32._block(name)
+    A = constrain_matrix(terms, n, dofs, systems_32.discretization.orders[name])
+    fact = lu_factor(A)
+    default = spla.splu(A.T, permc_spec="NATURAL", diag_pivot_thresh=1e-3,
+                        options=dict(SymmetricMode=True))
+    assert fact._lu.nnz == default.nnz
+    assert np.array_equal(fact._lu.perm_r, np.arange(n))
+
+
 def test_coupled_fill_at_64_is_below_the_minimum_degree_fill():
     # a minimum-degree order (MMD on A + A^T after an RCM numbering) fills
     # this matrix with 13.38M nnz; nested dissection on grid lines with 8.41M
@@ -286,12 +299,13 @@ def test_lu_returns_the_free_heap_before_superlu(monkeypatch, rng):
     splu = spla.splu
 
     def recorded(*args, **kwargs):
-        events.append(("splu",))
+        events.append(("splu", kwargs.get("panel_size")))
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(linalg.spla, "splu", recorded)
     lu_factor(random_spd(12, rng))
-    assert events == [("trim", 0), ("splu",)]
+    # a narrow panel: SuperLU's workspace grows with it and lives to the end
+    assert events == [("trim", 0), ("splu", 8)]
 
 
 def test_lu_factors_where_the_c_library_has_no_malloc_trim(monkeypatch, rng):
