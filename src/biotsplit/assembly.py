@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -234,93 +233,45 @@ def _boundary_load(test: Space, data) -> np.ndarray:
     return out
 
 
-class BlockTerm(NamedTuple):
-    """One term of a block system: ``coef * form`` (``coef * form.T`` if
-    ``transposed``) with its first row at ``row`` and its first column at
-    ``col`` of the system.  ``form`` is a canonical CSR; terms do not overlap."""
-
-    form: sparse.csr_matrix
-    coef: float
-    row: int
-    col: int
-    transposed: bool = False
-
-
-def _coordinates(term: BlockTerm):
-    """Row and column of each stored entry of a term inside its block, in the
-    order of the form's CSR data."""
-    form = term.form
-    if form.format != "csr" or not form.has_canonical_format:
-        raise ValueError("a block term needs a canonical CSR form")
-    rows = np.repeat(np.arange(form.shape[0], dtype=form.indices.dtype), np.diff(form.indptr))
-    return (form.indices, rows) if term.transposed else (rows, form.indices)
-
-
-def constrain_matrix(terms, n: int, dofs: np.ndarray, order: np.ndarray) -> sparse.csr_matrix:
-    """Eliminate rows and columns ``dofs`` of the ``n x n`` sum of ``terms``,
+def constrain_matrix(A: sparse.coo_matrix, dofs: np.ndarray,
+                     order: np.ndarray) -> sparse.csr_matrix:
+    """Eliminate rows and columns ``dofs`` of the square COO matrix A,
     identity on constrained dofs, and number the result in ``order``: row and
     column k of the returned canonical CSR are row and column ``order[k]`` of
     the constrained matrix.
 
     Symmetry of the system is preserved (row and column elimination
-    together).  Each term's kept entries (free row, free column, nonzero) are
-    counted, then written with their factor-order row and column and their
-    scaled value into preallocated arrays, with a 1.0 on the diagonal of each
-    constrained dof, and converted once to CSR: no scaled copy of a form and
-    no raw block is made.  The result is bit for bit the canonical
-    ``C[order][:, order]`` with C the canonical ``P @ A @ P + diag(pinned)``
-    and A the block matrix of the terms, as long as no stored nonzero times
-    its coefficient underflows to zero.  ``order`` must be a permutation of
-    ``0..n-1``.
+    together).  A's kept entries (free row, free column, nonzero) are mapped
+    to their factor-order row and column, a 1.0 is appended on the diagonal
+    of each constrained dof, and the lot is converted once to CSR.  The
+    result is bit for bit the canonical ``C[order][:, order]`` with C the
+    canonical ``P @ A @ P + diag(pinned)``.  A holds no duplicate entries,
+    and ``order`` is a permutation of ``0..n-1``.
     """
+    n = A.shape[0]
     free = np.ones(n, dtype=bool)
     free[dofs] = False
     position = np.empty(n, dtype=np.int32)
     position[order] = np.arange(n, dtype=np.int32)
-    keep = []
-    for term in terms:
-        i, j = _coordinates(term)
-        keep.append(free[term.row:][i] & free[term.col:][j] & (term.form.data != 0))
+    kept = free[A.row] & free[A.col] & (A.data != 0)
     pinned = np.flatnonzero(~free[order]).astype(np.int32)
-    sizes = [np.count_nonzero(k) for k in keep]
-    nnz = sum(sizes) + len(pinned)
-    rows, cols = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32)
-    values = np.empty(nnz)
-    at = 0
-    for term, kept, size in zip(terms, keep, sizes):
-        part = slice(at, at + size)
-        i, j = _coordinates(term)
-        # the first pass indexed ``free`` with these, so they are in range and
-        # "clip" spares the bounds-checking buffer of take's default mode
-        np.take(position[term.row:], i[kept], out=rows[part], mode="clip")
-        np.take(position[term.col:], j[kept], out=cols[part], mode="clip")
-        np.multiply(term.form.data[kept], term.coef, out=values[part])
-        at += size
-    del keep
-    rows[at:] = cols[at:] = pinned
-    values[at:] = 1.0
+    rows = np.concatenate([position[A.row[kept]], pinned])
+    cols = np.concatenate([position[A.col[kept]], pinned])
+    values = np.concatenate([A.data[kept], np.ones(len(pinned))])
     return sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
 
 
-def dirichlet_columns(terms, n: int, dofs: np.ndarray) -> sparse.csc_matrix:
-    """Column slice A[:, dofs] of distinct ``dofs``, with A the ``n x n`` sum
-    of ``terms``, used for boundary-value elimination (precomputable).  The
-    entries in those columns are gathered from each term and converted once;
-    the result is bit for bit ``csc_matrix(A)[:, dofs]`` (stored zeros
-    included), so its product adds in increasing column order.
+def dirichlet_columns(A: sparse.coo_matrix, dofs: np.ndarray) -> sparse.csc_matrix:
+    """Column slice A[:, dofs] of distinct ``dofs``, with A a COO matrix
+    holding no duplicate entries, used for boundary-value elimination
+    (precomputable).  The result is bit for bit ``csc_matrix(A)[:, dofs]``
+    (stored zeros included), so its product adds in increasing column order.
     """
-    column = np.full(n, -1, dtype=np.int32)
+    column = np.full(A.shape[1], -1, dtype=np.int32)
     column[dofs] = np.arange(len(dofs), dtype=np.int32)
-    rows, cols, values = [], [], []
-    for term in terms:
-        i, j = _coordinates(term)
-        c = column[term.col:][j]
-        at = np.flatnonzero(c >= 0)
-        rows.append(i[at] + term.row)
-        cols.append(c[at])
-        values.append(term.coef * term.form.data[at])
-    return sparse.csc_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(n, len(dofs)))
+    c = column[A.col]
+    at = np.flatnonzero(c >= 0)
+    return sparse.csc_matrix((A.data[at], (A.row[at], c[at])), shape=(A.shape[0], len(dofs)))
 
 
 def export_matrix(A: sparse.spmatrix, path: str) -> None:

@@ -382,6 +382,21 @@ def write_csv(study: StudyResult, path: str) -> None:
 
 
 def write_json(report: dict, path: str) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"  # no partial file on a bad value
+    """Write ``report`` as strict JSON: a non-finite number (a tainted run's
+    errors and residuals; ``solver.tainted`` marks the run) is written as null."""
+    text = json.dumps(_finite_or_null(report), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"  # no partial file on a bad value
     with open(path, "w") as f:
         f.write(text)
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float inside dicts, lists and tuples
+    replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value

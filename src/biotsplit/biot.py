@@ -29,10 +29,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .assembly import (BOUNDARY_FLUX, BOUNDARY_TRACTION, DIV_COUPLING, DIV_DIV,
-                       ELASTICITY, MASS, P_STIFFNESS, VOLUME_LOAD, BlockTerm,
-                       PhysParams, assemble_form, assemble_functional, constrain_matrix,
+                       ELASTICITY, MASS, P_STIFFNESS, VOLUME_LOAD, PhysParams,
+                       assemble_form, assemble_functional, constrain_matrix,
                        dirichlet_columns)
 from .fem import P1, P2_VECTOR, Space, interpolate
 from .linalg import Factorization, lu_factor
@@ -188,31 +189,23 @@ class DiscreteSystem:
         return p.c0 + p.alpha ** 2 / p.lam, p.alpha / p.lam  # (c_p, c_xi)
 
     def _block(self, name: str):
-        """Terms (``assembly.BlockTerm``), dimension and Dirichlet dofs of one
-        block system.  The (p, p) block is the one form ``c_p*M + K*dt*S``,
-        summed here."""
+        """The raw matrix (COO) and the Dirichlet dofs of one block system.
+        The (p, p) block is the one form ``c_p*M + K*dt*S``."""
         p = self.params
         c_p, c_xi = self._coef
-        nv, nw = self.offsets[1], self.offsets[2]
-        stokes = [
-            BlockTerm(self.elasticity, 2 * p.mu, 0, 0),
-            BlockTerm(self.div_coupling, -1.0, 0, nv),
-            BlockTerm(self.div_coupling, -1.0, nv, 0, transposed=True),
-            BlockTerm(self.mass, -(1 / p.lam), nv, nv),
-        ]
-        if name == "stokes":
-            return stokes, nw, self.bd_u
+        E, B, M = self.elasticity, self.div_coupling, self.mass
         if name == "mass":
-            return [BlockTerm(self.mass, 1.0, 0, 0)], self.M.num_dofs, np.array([], dtype=np.int64)
-        reaction = c_p * self.mass + p.K * p.dt * self.stiffness
+            return M.tocoo(), np.array([], dtype=np.int64)
+        reaction = c_p * M + p.K * p.dt * self.stiffness
         if name == "pressure":
-            return [BlockTerm(reaction, 1.0, 0, 0)], self.M.num_dofs, self.bd_p
+            return reaction.tocoo(), self.bd_p
+        stokes = [[2 * p.mu * E, -B], [-B.T, -(1 / p.lam) * M]]
+        if name == "stokes":
+            return sparse.bmat(stokes, format="coo"), self.bd_u
         if name == "coupled":
-            return stokes + [
-                BlockTerm(self.mass, c_xi, nv, nw),
-                BlockTerm(self.mass, c_xi, nw, nv),
-                BlockTerm(reaction, -1.0, nw, nw),
-            ], self.offsets[3], np.concatenate([self.bd_u, nw + self.bd_p])
+            A = sparse.bmat([stokes[0] + [None], stokes[1] + [c_xi * M],
+                             [None, c_xi * M, -reaction]], format="coo")
+            return A, np.concatenate([self.bd_u, self.offsets[2] + self.bd_p])
         raise ValueError(f"unknown block system {name!r}")
 
     def solve(self, name: str, b: np.ndarray, t: float) -> np.ndarray:
@@ -220,20 +213,20 @@ class DiscreteSystem:
         the raw right-hand side ``b`` at time ``t``: the Dirichlet values are the
         block's profile (``[gu; gp]``, ``gu``, ``gp``, none) times ``time_factor(t)``.
 
-        The first solve takes the block's Dirichlet columns and eliminates it
-        from its unit forms straight into its factor order
-        (``discretization.orders``), as the CSR that is factored; no raw block
-        matrix is built, so the factored matrix, kept for the residuals, is
-        the one copy.  Each solve moves the known values through those
+        The first solve builds the raw block, takes its Dirichlet columns and
+        eliminates it straight into its factor order (``discretization.orders``),
+        as the CSR that is factored; the raw block is dropped before the
+        factorization, so the factored matrix, kept for the residuals, is the
+        one copy.  Each solve moves the known values through those
         columns, pins them, gathers the result into the factor order, solves
         there and scatters the solution back.
         """
         order = self.discretization.orders[name]
         if name not in self.factors:
-            terms, n, dofs = self._block(name)
-            self._boundary[name] = dofs, dirichlet_columns(terms, n, dofs)
-            constrained = constrain_matrix(terms, n, dofs, order)
-            del terms
+            A, dofs = self._block(name)
+            self._boundary[name] = dofs, dirichlet_columns(A, dofs)
+            constrained = constrain_matrix(A, dofs, order)
+            del A
             self.factors[name] = lu_factor(constrained)
         dofs, columns = self._boundary[name]
         values = self.loads.time_factor(t) * self._dirichlet[name]

@@ -246,8 +246,8 @@ def run(config: argparse.Namespace) -> int:
     if config.dump_matrix:
         system = build_system(build_uniform(config.n0), case.params,
                               benchmark_loads(case))
-        terms, n, dofs = system._block("coupled")
-        natural = constrain_matrix(terms, n, dofs, np.arange(n))
+        A, dofs = system._block("coupled")
+        natural = constrain_matrix(A, dofs, np.arange(A.shape[0]))
         if not _write_artifact(export_matrix, natural, config.dump_matrix):
             return 1
 

@@ -55,8 +55,8 @@ def evaluate(space, values, points) -> np.ndarray:
 
 def block_matrix(system, name):
     """The raw block system ``name`` of ``system`` and its Dirichlet dofs, by
-    the ``bmat`` formula: the reference that the elimination from the block
-    terms is checked against."""
+    the ``bmat`` formula as a CSR: the reference that ``DiscreteSystem._block``
+    and the elimination are checked against."""
     p = system.params
     c_p, c_xi = system._coef
     E, B, M, S = system.elasticity, system.div_coupling, system.mass, system.stiffness

