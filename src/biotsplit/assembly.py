@@ -9,6 +9,7 @@ element order.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields
 
@@ -32,10 +33,10 @@ BOUNDARY_FLUX = "boundary-flux"
 
 @dataclass(frozen=True)
 class PhysParams:
-    """Material and stepping parameters.
+    """Material and stepping parameters, and the numbers derived from them.
 
-    The Lame constants are derived from (E, nu) on construction:
-    lam = E*nu/((1+nu)(1-2nu)), mu = E/(2(1+nu)).
+    lam = E*nu/((1+nu)(1-2nu)) and mu = E/(2(1+nu)) are set on construction,
+    which rejects inputs whose derived numbers vanish or overflow.
     """
 
     E: float = 1.0
@@ -69,12 +70,31 @@ class PhysParams:
         object.__setattr__(self, "mu", self.E / (2.0 * (1.0 + self.nu)))
         object.__setattr__(
             self, "lam", self.E * self.nu / ((1.0 + self.nu) * (1.0 - 2.0 * self.nu)))
+        derived = (
+            ("mu", "E nu", lambda: self.mu), ("1/lam", "E nu", lambda: 1 / self.lam),
+            ("c_p", "c0 alpha E nu", lambda: self.c_p), ("c_xi", "alpha E nu", lambda: self.c_xi),
+            ("K*dt", "K dt", lambda: self.K * self.dt), ("T/dt", "T dt", lambda: self.T / self.dt))
+        for name, inputs, value in derived:
+            with contextlib.suppress(ArithmeticError):  # a float's alpha ** 2 raises on overflow
+                if 0.0 < value() < math.inf:
+                    continue
+            given = ", ".join(f"{k}={getattr(self, k)}" for k in inputs.split())
+            raise ValueError(f"{name} must be positive and finite, which fails for {given}")
+
+    @property
+    def c_p(self) -> float:
+        """Coefficient c0 + alpha^2/lam of p in the mass balance."""
+        return self.c0 + self.alpha ** 2 / self.lam
+
+    @property
+    def c_xi(self) -> float:
+        """Coefficient alpha/lam of xi in the mass balance."""
+        return self.alpha / self.lam
 
     @property
     def contraction_factor(self) -> float:
-        """Fixed-point rate (alpha^2/lam) / (c0 + alpha^2/lam) of the split iteration."""
-        s = self.alpha ** 2 / self.lam
-        return s / (self.c0 + s)
+        """Fixed-point rate (alpha^2/lam) / c_p of the split iteration."""
+        return self.alpha ** 2 / self.lam / self.c_p
 
 
 def assemble_form(kind: str, trial: Space, test: Space) -> sparse.csr_matrix:

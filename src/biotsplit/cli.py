@@ -208,14 +208,9 @@ def run(config: argparse.Namespace) -> int:
     """Execute the configured study and checks; write reports; return exit code."""
     try:
         case = _effective_case(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         study = run_study(config.algorithm, case, config.levels, n0=config.n0,
                           iters=config.iter, tol=config.tol)
-    except ValueError as exc:  # the settings, rejected before any level runs
+    except ValueError as exc:  # the case or the settings, rejected before any level runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a level failed
@@ -246,7 +241,7 @@ def run(config: argparse.Namespace) -> int:
     if config.dump_matrix:
         system = build_system(build_uniform(config.n0), case.params,
                               benchmark_loads(case))
-        A, dofs = system._block("coupled")
+        A, dofs, _ = system._block("coupled")
         natural = constrain_matrix(A, dofs, np.arange(A.shape[0]))
         if not _write_artifact(export_matrix, natural, config.dump_matrix):
             return 1

@@ -58,7 +58,7 @@ def block_matrix(system, name):
     the ``bmat`` formula as a CSR: the reference that ``DiscreteSystem._block``
     and the elimination are checked against."""
     p = system.params
-    c_p, c_xi = system._coef
+    c_p, c_xi = p.c_p, p.c_xi
     E, B, M, S = system.elasticity, system.div_coupling, system.mass, system.stiffness
     if name == "coupled":
         return sparse.bmat([

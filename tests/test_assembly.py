@@ -3,6 +3,8 @@
 All exact values are derived independently (hand integration or sympy), then
 compared against the assembled sparse matrices.
 """
+import math
+
 import numpy as np
 import pytest
 import scipy.io
@@ -281,6 +283,8 @@ def test_phys_params_lame_constants():
     p = PhysParams(E=1.0, nu=0.3)
     assert p.mu == pytest.approx(5 / 13, abs=1e-15)
     assert p.lam == pytest.approx(15 / 26, abs=1e-15)
+    assert p.c_p == pytest.approx(41 / 15, abs=1e-15)
+    assert p.c_xi == pytest.approx(26 / 15, abs=1e-15)
     assert p.contraction_factor == pytest.approx(26 / 41, abs=1e-15)
     # near-incompressible: lam blows up, contraction factor approaches 0
     q = PhysParams(E=1.0, nu=0.499)
@@ -293,9 +297,30 @@ def test_phys_params_validation():
                 dict(c0=-1.0), dict(K=0.0), dict(dt=0.0), dict(dt=0.1, T=0.01),
                 dict(E=np.nan), dict(E=np.inf), dict(nu=np.nan), dict(alpha=np.inf),
                 dict(c0=np.nan), dict(c0=np.inf), dict(K=np.nan), dict(K=np.inf),
-                dict(dt=np.nan), dict(T=np.nan), dict(T=np.inf)):
+                dict(dt=np.nan), dict(T=np.nan), dict(T=np.inf),
+                # finite inputs whose derived numbers overflow or vanish
+                dict(dt=1e-320, T=1.0), dict(dt=1e-300, T=1e10), dict(alpha=1e300),
+                dict(c0=1e308, alpha=1e154), dict(E=1e-320), dict(E=1e-310),
+                dict(K=1e300, dt=1e10, T=1e10), dict(c0=0.0, alpha=1e-170),
+                dict(E=1e-300, nu=1e-30)):
         with pytest.raises(ValueError):
             PhysParams(**bad)
+    # extreme, but every coefficient is finite: such a run solves, marked tainted
+    for E in (1e-300, 1e300):
+        assert math.isfinite(PhysParams(E=E).c_p)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(alpha=1e300), "c_p must be positive and finite, which fails for "
+                        "c0=1.0, alpha=1e+300, E=1.0, nu=0.3"),
+    (dict(E=1e-310), "1/lam must be positive and finite, which fails for E=1e-310, nu=0.3"),
+    (dict(K=1e300, dt=1e10, T=1e10), "K*dt must be positive and finite, which fails for "
+                                     "K=1e+300, dt=10000000000.0"),
+    (dict(dt=1e-320, T=1.0), "T/dt must be positive and finite, which fails for T=1.0, dt=1e-320")])
+def test_derived_parameter_error_names_the_quantity_and_its_inputs(bad, message):
+    with pytest.raises(ValueError) as info:
+        PhysParams(**bad)
+    assert str(info.value) == message
 
 
 def test_export_matrix_roundtrip(tmp_path):
@@ -521,7 +546,7 @@ def assert_eliminates_like_the_formulas(block, dofs, order, A):
 def test_one_pass_elimination_matches_the_formulas(distorted, name):
     case = make_case("nu03")
     system = build_system(distorted, case.params, benchmark_loads(case))
-    assert_eliminates_like_the_formulas(*system._block(name), system.discretization.orders[name],
+    assert_eliminates_like_the_formulas(*system._block(name)[:2], system.discretization.orders[name],
                                         block_matrix(system, name)[0])
 
 
@@ -531,7 +556,7 @@ def test_one_pass_elimination_matches_the_formulas(distorted, name):
 def test_elimination_matches_the_formulas_on_uniform_meshes(n, preset, name):
     case = make_case(preset)
     system = build_system(build_uniform(n), case.params, benchmark_loads(case))
-    assert_eliminates_like_the_formulas(*system._block(name), system.discretization.orders[name],
+    assert_eliminates_like_the_formulas(*system._block(name)[:2], system.discretization.orders[name],
                                         block_matrix(system, name)[0])
 
 

@@ -283,6 +283,17 @@ def test_dirichlet_data_is_the_nodal_interpolant(small_system, nu03_case):
     bare = build_system(small_system.mesh, small_system.params, LoadSet())
     np.testing.assert_array_equal(bare.gu_profile, np.zeros(bare.bd_u.size))
     np.testing.assert_array_equal(bare.gp_profile, np.zeros(bare.bd_p.size))
+    # each block carries its Dirichlet dofs together with their values
+    s = small_system
+    expect = {"coupled": (np.concatenate([s.bd_u, s.offsets[2] + s.bd_p]),
+                          np.concatenate([s.gu_profile, s.gp_profile])),
+              "stokes": (s.bd_u, s.gu_profile), "pressure": (s.bd_p, s.gp_profile),
+              "mass": (np.zeros(0), np.zeros(0))}
+    for name, (dofs, profile) in expect.items():
+        got_dofs, got_profile = s._block(name)[1:]
+        np.testing.assert_array_equal(got_dofs, dofs)
+        np.testing.assert_array_equal(got_profile, profile)
+        assert got_dofs.shape == got_profile.shape
 
 
 def test_solver_residuals_are_tracked(small_system, small_initial):

@@ -1,12 +1,17 @@
 """Command-line interface: config handling, exit codes, artifacts, checks."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.io
 
+import biotsplit
 from biotsplit import biot, cli
 from biotsplit.benchmark import PRESETS, make_case, write_json
 from biotsplit.cli import (CHECKS, RATE_FLOORS, ConfigError, _check_contraction,
@@ -141,6 +146,32 @@ def test_invalid_physical_parameter_exits_2(capsys):
         assert "must be finite" in capsys.readouterr().err
     assert main(TINY + ["--T", "0.0105", "--dt", "0.003"]) == 2
     assert "multiple" in capsys.readouterr().err
+
+
+#: Inputs that each pass the raw checks but make a derived number overflow or vanish.
+DERIVED_OVERFLOWS = [["--dt", "1e-320", "--T", "1"], ["--dt", "1e-300", "--T", "1e10"],
+                     ["--alpha", "1e300"], ["--c0", "1e308", "--alpha", "1e154"],
+                     ["--E", "1e-320"], ["--E", "1e-310"],
+                     ["--K", "1e300", "--dt", "1e10", "--T", "1e10"]]
+SMALL = ["--preset", "nu03", "--n0", "2", "--levels", "2"]
+
+
+@pytest.mark.parametrize("flags", DERIVED_OVERFLOWS, ids=" ".join)
+def test_overflowing_derived_parameter_is_one_error_line_and_exit_2(capsys, flags):
+    assert main(SMALL + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_overflowing_derived_parameter_prints_no_traceback_or_warning():
+    # in a process of its own: pytest turns numpy's warnings into exceptions
+    src = str(Path(biotsplit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "biotsplit.cli", *SMALL, "--E", "1e-310"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: 1/lam ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
 
 def test_nan_rate_fails_rate_check():

@@ -162,7 +162,7 @@ def systems_32(request):
 def test_lu_fill_is_below_colamd(systems_32, name, bound):
     # the symmetric order keeps its fill only with diagonal pivots; a pivot
     # threshold of 1e-2 already leaves the diagonal on nu0499 and loses it
-    A, dofs = systems_32._block(name)
+    A, dofs, _ = systems_32._block(name)
     n = A.shape[0]
     fact = lu_factor(constrain_matrix(A, dofs, systems_32.discretization.orders[name]))
     colamd = spla.splu(constrain_matrix(A, dofs, np.arange(n)).tocsc(),
@@ -175,7 +175,7 @@ def test_lu_fill_is_below_colamd(systems_32, name, bound):
 def test_lu_panel_width_keeps_the_fill_and_the_diagonal_pivots(systems_32, name):
     # the narrow panel only saves workspace: the factor has the fill of
     # scipy's default panel, and every pivot stays on the diagonal
-    block, dofs = systems_32._block(name)
+    block, dofs, _ = systems_32._block(name)
     n = block.shape[0]
     A = constrain_matrix(block, dofs, systems_32.discretization.orders[name])
     fact = lu_factor(A)
@@ -191,7 +191,7 @@ def test_coupled_fill_at_64_is_below_the_minimum_degree_fill():
     case = make_case("nu03")
     system = build_system(refine(refine(build_uniform(16))), case.params,
                           benchmark_loads(case))
-    A, dofs = system._block("coupled")
+    A, dofs, _ = system._block("coupled")
     n = A.shape[0]
     fact = lu_factor(constrain_matrix(A, dofs, system.discretization.orders["coupled"]))
     assert _fill(fact._lu) <= 0.8 * 13.38e6
