@@ -316,7 +316,8 @@ def test_phys_params_validation():
     (dict(E=1e-310), "1/lam must be positive and finite, which fails for E=1e-310, nu=0.3"),
     (dict(K=1e300, dt=1e10, T=1e10), "K*dt must be positive and finite, which fails for "
                                      "K=1e+300, dt=10000000000.0"),
-    (dict(dt=1e-320, T=1.0), "T/dt must be positive and finite, which fails for T=1.0, dt=1e-320")])
+    (dict(dt=1e-320, T=1.0), "T/dt must be positive and finite, which fails for T=1.0, dt=1e-320")],
+    ids=["c_p", "inv_lam", "K_dt", "T_dt"])
 def test_derived_parameter_error_names_the_quantity_and_its_inputs(bad, message):
     with pytest.raises(ValueError) as info:
         PhysParams(**bad)
@@ -546,7 +547,8 @@ def assert_eliminates_like_the_formulas(block, dofs, order, A):
 def test_one_pass_elimination_matches_the_formulas(distorted, name):
     case = make_case("nu03")
     system = build_system(distorted, case.params, benchmark_loads(case))
-    assert_eliminates_like_the_formulas(*system._block(name)[:2], system.discretization.orders[name],
+    assert_eliminates_like_the_formulas(*system._block(name)[:2],
+                                        system.discretization.orders[name],
                                         block_matrix(system, name)[0])
 
 
@@ -556,7 +558,8 @@ def test_one_pass_elimination_matches_the_formulas(distorted, name):
 def test_elimination_matches_the_formulas_on_uniform_meshes(n, preset, name):
     case = make_case(preset)
     system = build_system(build_uniform(n), case.params, benchmark_loads(case))
-    assert_eliminates_like_the_formulas(*system._block(name)[:2], system.discretization.orders[name],
+    assert_eliminates_like_the_formulas(*system._block(name)[:2],
+                                        system.discretization.orders[name],
                                         block_matrix(system, name)[0])
 
 

@@ -165,8 +165,7 @@ def test_overflowing_derived_parameter_is_one_error_line_and_exit_2(capsys, flag
 
 def test_overflowing_derived_parameter_prints_no_traceback_or_warning():
     # in a process of its own: pytest turns numpy's warnings into exceptions
-    src = str(Path(biotsplit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": str(Path(biotsplit.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-m", "biotsplit.cli", *SMALL, "--E", "1e-310"],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 2
