@@ -36,7 +36,7 @@ from .assembly import (BOUNDARY_FLUX, BOUNDARY_TRACTION, DIV_COUPLING, DIV_DIV,
                        assemble_form, assemble_functional, constrain_matrix,
                        dirichlet_columns)
 from .fem import P1, P2_VECTOR, Space, interpolate
-from .linalg import Factorization, lu_factor
+from .linalg import Factorization, inner, lu_factor
 from .mesh import DIRICHLET_TAGS, TriMesh, dissection_keys
 
 
@@ -235,11 +235,11 @@ class DiscreteSystem:
 
     def l2_p1(self, values: np.ndarray) -> float:
         """L2 norm of a P1 coefficient vector."""
-        return float(np.sqrt(max(values @ (self.mass @ values), 0.0)))
+        return float(np.sqrt(max(inner(values, self.mass @ values), 0.0)))
 
     def strain_norm(self, u_values: np.ndarray) -> float:
         """L2 norm of the symmetric gradient of a vector coefficient field."""
-        return float(np.sqrt(max(u_values @ (self.elasticity @ u_values), 0.0)))
+        return float(np.sqrt(max(inner(u_values, self.elasticity @ u_values), 0.0)))
 
     def project_total_pressure(self, u_values: np.ndarray,
                                p_values: np.ndarray) -> np.ndarray:
@@ -491,11 +491,11 @@ def energy_check(sys: DiscreteSystem, states: list[BiotState]) -> EnergyReport:
     p = sys.params
 
     def energy(u, d, q) -> float:
-        return (p.mu * float(u @ (sys.elasticity @ u)) + 0.5 / p.lam * float(d @ (sys.mass @ d))
-                + 0.5 * p.c0 * float(q @ (sys.mass @ q)))
+        return (p.mu * inner(u, sys.elasticity @ u) + 0.5 / p.lam * inner(d, sys.mass @ d)
+                + 0.5 * p.c0 * inner(q, sys.mass @ q))
 
     Js = np.array([energy(s.u, p.alpha * s.p - s.xi, s.p)
-                   - sys.loads.time_factor(s.t) * float(sys.fu_profile @ s.u) for s in states])
+                   - sys.loads.time_factor(s.t) * inner(sys.fu_profile, s.u) for s in states])
     S = np.zeros(len(states))
     total = 0.0
     for n in range(1, len(states)):
@@ -504,8 +504,8 @@ def energy_check(sys: DiscreteSystem, states: list[BiotState]) -> EnergyReport:
                              (p.alpha * cur.p - cur.xi - p.alpha * prev.p + prev.xi) / p.dt,
                              (cur.p - prev.p) / p.dt)
         total += p.dt * (p.dt * dissipation
-                         + p.K * float(cur.p @ (sys.stiffness @ cur.p))
-                         - sys.loads.time_factor(cur.t) * float(sys.fq_profile @ cur.p))
+                         + p.K * inner(cur.p, sys.stiffness @ cur.p)
+                         - sys.loads.time_factor(cur.t) * inner(sys.fq_profile, cur.p))
         S[n] = total
     defects = np.abs(Js + S - Js[0]) / (abs(Js[0]) + 1.0)
     return EnergyReport(J=Js, S=S, defects=defects)
@@ -523,7 +523,7 @@ def korn_check(sys: DiscreteSystem, num_fields: int = 1000, seed: int = 0):
     max_ratio, violations = 0.0, 0
     for _ in range(num_fields):
         u = rng.standard_normal(sys.V.num_dofs)
-        dn = float(np.sqrt(max(u @ (div_div @ u), 0.0)))
+        dn = float(np.sqrt(max(inner(u, div_div @ u), 0.0)))
         en = sys.strain_norm(u)
         if en == 0.0:
             continue

@@ -6,9 +6,10 @@ run at 1/h = 16..128 and are shared across criteria through module-scoped
 fixtures, so the whole gate costs about a minute of CPU.
 
 Criterion 02 judges absolute error magnitudes against best-approximation
-oracles computed here from the exact solution on the same mesh chain (L2 and
-full-H1 projections onto unconstrained P2 vector / P1 spaces): every error must
-lie on or above its oracle, and every H1 error within 25% of it.  The frozen
+oracles, computed in ``helpers`` from the exact solution on the same mesh
+chain (L2 and full-H1 projections onto unconstrained P2 vector / P1 spaces):
+every error must lie on or above its oracle, and every H1 error within 25% of
+it.  The frozen
 table is printed as a diagnostic only, since its H1 columns lie below what any
 discrete field on these meshes can attain.  One cheap test at 1/h <= 8 checks
 that decision on its own.
@@ -17,7 +18,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 from biotsplit.assembly import MASS, P_STIFFNESS, assemble_form
 from biotsplit.benchmark import (
@@ -37,10 +37,10 @@ from biotsplit.biot import (
     korn_check,
     step_iterative,
 )
-from biotsplit.fem import Space, affine_maps, eval_basis, interpolate, quadrature
+from biotsplit.fem import Space, interpolate, quadrature
 from biotsplit.mesh import TriMesh, build_uniform, refine
 
-from helpers import strong_form_residual
+from helpers import best_approximation_errors, error_magnitude_check, strong_form_residual
 
 # Reference coupled error table (levels 16/32/64/128; columns as ErrorSet).
 # Kept as the published record; criterion 02 prints measured/reference ratios
@@ -66,118 +66,11 @@ TARGET_RATES = {"l2_u": 2.09, "h1_u": 2.00, "l2_xi": 2.04,
 
 RHO_NU03 = 26 / 41  # (alpha^2/lam) / (c0 + alpha^2/lam) at nu=0.3, E=alpha=c0=1
 
-#: Criterion 02: each H1 error may exceed its best approximation by this factor.
-H1_BAND = 1.25
-
-#: Roundoff allowance of the best-approximation lower bound; measured and
-#: oracle errors come from the same degree-5 rule, so the bound is exact.
-FLOOR_RTOL = 1e-8
-
 
 def report(num: int, ok: bool, detail: str) -> None:
     line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
     assert ok, line
-
-
-def _projection_errors(space, fields):
-    """Best-approximation errors of ``fields`` on the scalar ``space``.
-
-    ``fields`` holds ``(f, grad_f)`` callables of physical coordinates;
-    ``grad_f`` returns a ``(2, ...)`` stack.  For each field, returns the
-    squared L2 error of its L2 projection and the squared full-H1 error of its
-    full-H1 projection.  Right-hand sides and errors use the degree-5 rule of
-    the assembled matrices and of ``compute_errors``, so each projection
-    minimizes exactly the quadrature norm that the measured errors are taken in.
-    """
-    mesh = space.mesh
-    rule = quadrature()
-    vals, grads_ref = eval_basis(space.scalar_kind, rule.points)
-    _, inv_t, det = affine_maps(mesh)
-    grads = np.einsum("tab,iqb->tiqa", inv_t, grads_ref)
-    bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])
-    xq, yq = np.einsum("qk,tkd->dtq", bary, mesh.vertices[mesh.triangles])
-    wdet = np.outer(det, rule.weights)
-    dofs = space.cell_dofs()
-
-    mass = assemble_form(MASS, space, space)
-    mass_lu = splu(mass.tocsc())
-    h1_lu = splu((mass + assemble_form(P_STIFFNESS, space, space)).tocsc())
-
-    def load(element_vectors):
-        return np.bincount(dofs.ravel(), element_vectors.ravel(),
-                           minlength=space.num_dofs)
-
-    out = []
-    for f, grad_f in fields:
-        fq, gq = f(xq, yq), np.moveaxis(grad_f(xq, yq), 0, -1)
-        b_val = load(np.einsum("iq,tq,tq->ti", vals, fq, wdet))
-        b_grad = load(np.einsum("tiqa,tqa,tq->ti", grads, gq, wdet))
-
-        def squared_errors(coeffs):
-            C = coeffs[dofs]
-            l2 = np.sum(wdet * (C @ vals - fq) ** 2)
-            grad = np.sum(wdet[..., None]
-                          * (np.einsum("ti,tiqa->tqa", C, grads) - gq) ** 2)
-            return l2, grad
-
-        l2_of_l2_projection, _ = squared_errors(mass_lu.solve(b_val))
-        l2, grad = squared_errors(h1_lu.solve(b_val + b_grad))
-        out.append((l2_of_l2_projection, l2 + grad))
-    return out
-
-
-def best_approximation_errors(case, n0: int, levels: int) -> np.ndarray:
-    """Per-level oracle rows (columns as ErrorSet) at the final time.
-
-    L2 columns hold the error of the L2 projection, H1 columns that of the
-    full-H1 projection, of the exact fields onto the *unconstrained* P2
-    vector and P1 spaces of ``build_uniform(n0)`` and its refinements.  Those
-    spaces contain the constrained ones a solver works in, so each entry is
-    a lower bound on the corresponding error of any discrete solution.  Both
-    norms split over the displacement components, so each component is
-    projected onto the scalar P2 space.
-    """
-    tf = case.time_factor(case.params.T)
-    fields_u = [(lambda x, y, c=c: tf * case.u_profile(x, y)[c],
-                 lambda x, y, c=c: tf * case.grad_u_profile(x, y)[c])
-                for c in range(2)]
-    fields_xi_p = [(lambda x, y: tf * case.xi_profile(x, y),
-                    lambda x, y: tf * case.grad_xi_profile(x, y)),
-                   (lambda x, y: tf * case.p_profile(x, y),
-                    lambda x, y: tf * case.grad_p_profile(x, y))]
-    rows = []
-    mesh = build_uniform(n0)
-    for level in range(levels):
-        if level:
-            mesh = refine(mesh)
-        u = np.sum(_projection_errors(Space(mesh, "p2"), fields_u), axis=0)
-        xi, p = _projection_errors(Space(mesh, "p1"), fields_xi_p)
-        rows.append(np.sqrt([*u, *xi, *p]))
-    return np.array(rows)
-
-
-def error_magnitude_check(measured, oracle) -> tuple[bool, str]:
-    """Criterion 02's decision on per-level error rows (columns as ErrorSet).
-
-    Every error must be at least its best-approximation oracle, up to
-    roundoff, and every H1 error at most ``H1_BAND`` times it.  The L2
-    columns get no upper bound: nothing documented fixes their constant, and
-    criterion 01 checks their rates.  Every comparison is false for a NaN, so
-    a NaN on either side fails the check.
-    """
-    measured = np.asarray(measured, dtype=float)
-    oracle = np.asarray(oracle, dtype=float)
-    above_floor = measured >= oracle * (1.0 - FLOOR_RTOL)
-    in_band = measured[:, 1::2] <= H1_BAND * oracle[:, 1::2]
-    ok = bool(above_floor.all() and in_band.all())
-    ratios = measured / oracle
-    detail = (f"{int(above_floor.sum())}/{above_floor.size} errors >= their "
-              f"best approximation, {int(in_band.sum())}/{in_band.size} H1 "
-              f"errors <= {H1_BAND} x it (measured/oracle per level: "
-              + " | ".join(", ".join(f"{r:.3f}" for r in row) for row in ratios)
-              + ")")
-    return ok, detail
 
 
 @pytest.fixture(scope="module")

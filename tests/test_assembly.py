@@ -11,6 +11,7 @@ import scipy.io
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from biotsplit import linalg
 from biotsplit.assembly import (
     BOUNDARY_FLUX,
     BOUNDARY_TRACTION,
@@ -32,7 +33,7 @@ from biotsplit.biot import BiotState, LoadSet, build_system, discretize
 from biotsplit.fem import Space, affine_maps, eval_basis, interpolate, quadrature
 from biotsplit.mesh import (DIRICHLET_TAGS, NEUMANN_TAGS, TriMesh, build_uniform,
                             dissection_keys)
-from helpers import block_matrix
+from helpers import block_matrix, superlu_calling
 
 
 def unit_triangle():
@@ -591,18 +592,17 @@ def test_superlu_gets_the_permuted_elimination(distorted, monkeypatch, where, na
     case = make_case("nu03")
     system = build_system(mesh, case.params, benchmark_loads(case))
     factored = []
-    splu = spla.splu
 
-    def keep(A, *args, **kwargs):
-        factored.append(A)
-        return splu(A, *args, **kwargs)
+    def keep(n, nnz, data, indices, indptr, **kwargs):
+        factored.append((n, nnz, data, indices, indptr))
 
-    monkeypatch.setattr(spla, "splu", keep)
+    monkeypatch.setattr(linalg, "_superlu", superlu_calling(keep))
     A, dofs = block_matrix(system, name)
     system.solve(name, np.zeros(A.shape[0]), 0.0)
     order = system.discretization.orders[name]
     kept = system.factors[name].matrix
-    assert len(factored) == 1 and factored[0].format == "csc"
-    for array in ("data", "indices", "indptr"):
-        assert np.shares_memory(getattr(factored[0], array), getattr(kept, array)), array
+    # gstrf reads its arrays as a CSC: values, row indices, column pointers
+    assert len(factored) == 1 and factored[0][:2] == (kept.shape[0], kept.nnz)
+    for array, given in zip(("data", "indices", "indptr"), factored[0][2:]):
+        assert np.shares_memory(given, getattr(kept, array)), array
     assert_same_bits(kept, in_factor_order(product_elimination(A, dofs), order))

@@ -29,6 +29,8 @@ from biotsplit.fem import interpolate
 from biotsplit.linalg import SingularMatrixError
 from biotsplit.mesh import build_uniform, refine
 
+from helpers import best_approximation_errors, error_magnitude_check
+
 # Rows of study_csv(run_study(..., levels=3, n0=4)) on nu03, frozen: a change
 # to the arithmetic of assembly, solves or error norms shows up here as
 # changed digits, which run-to-run determinism alone cannot catch.
@@ -177,6 +179,37 @@ def test_coupled_study_rates_on_coarse_chain():
     assert rate["h1_u"] == pytest.approx(2.0, abs=0.3)
     assert rate["l2_p"] == pytest.approx(2.0, abs=0.3)
     assert rate["h1_p"] == pytest.approx(1.0, abs=0.3)
+
+
+#: Poisson ratios toward the incompressible limit nu -> 1/2 (lambda -> inf).
+NU_TO_ONE_HALF = (0.3, 0.49, 0.4999, 0.4999999)
+
+#: Largest factor between an error at nu = 0.4999999 and the same error at
+#: nu = 0.49 (measured: 0.98 to 1.04 at 1/h = 8, 16 and 32).
+NU_LIMIT_FACTOR = 1.05
+
+
+def test_errors_stay_robust_as_nu_approaches_one_half():
+    # the reason for the three-field form: its Taylor-Hood errors are bounded
+    # uniformly in lambda (Oyarzua & Ruiz-Baier 2016; Lee, Mardal & Winther
+    # 2017), for the coupled scheme and for the split iteration alike
+    errors = {}
+    for nu in NU_TO_ONE_HALF:
+        case = make_case("nu03", nu=nu)
+        oracle = best_approximation_errors(case, n0=8, levels=3)
+        for algorithm, settings in (("coupled", {}), ("iterative", dict(iters=10))):
+            study = run_study(algorithm, case, levels=3, n0=8, **settings)
+            measured = np.array([row.errors.as_tuple() for row in study.rows])
+            ok, detail = error_magnitude_check(measured, oracle)
+            assert ok, (nu, algorithm, detail)
+            finest = study.rates()[-1]
+            assert min(finest["l2_u"], finest["l2_xi"], finest["l2_p"]) >= 1.8, (
+                nu, algorithm, finest)
+            errors[nu, algorithm] = measured
+    for algorithm in ("coupled", "iterative"):
+        ratio = errors[0.4999999, algorithm] / errors[0.49, algorithm]
+        assert np.all(ratio <= NU_LIMIT_FACTOR) and np.all(ratio >= 1 / NU_LIMIT_FACTOR), (
+            algorithm, ratio)
 
 
 def test_errors_beyond_1e154_do_not_overflow():

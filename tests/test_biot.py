@@ -138,12 +138,12 @@ def test_vanishing_storage_still_contracts(c00_system, c00_initial):
 RATE_GRID = [
     ("nu03", {}), ("nu0499", {}), ("c00", {}), ("lowk", {}),
     ("nu03", dict(dt=0.1, T=0.1)), ("nu03", dict(c0=1e-3)), ("nu03", dict(nu=0.01)),
-    ("nu0499", dict(c0=0.0)), ("nu03", dict(alpha=10.0)),
+    ("nu0499", dict(c0=0.0)), ("nu03", dict(alpha=10.0)), ("nu03", dict(nu=0.4999999)),
 ]
 
 
 @pytest.mark.parametrize("preset, overrides", RATE_GRID,
-                         ids=[p + "".join(f"-{k}={v:g}" for k, v in o.items())
+                         ids=[p + "".join(f"-{k}={v:.10g}" for k, v in o.items())
                               for p, o in RATE_GRID])
 def test_split_rate_is_below_rho_at_every_mesh(preset, overrides):
     # the paper's claim: the split iteration contracts whatever the physical

@@ -173,6 +173,30 @@ def test_overflowing_derived_parameter_prints_no_traceback_or_warning():
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
 
+@pytest.mark.parametrize("flags", [
+    ["--algorithm", "coupled", "--check", "energy", "--check", "contraction"],
+    ["--algorithm", "iterative", "--tol", "1e-10"],
+], ids=["coupled-checks", "iterative-tol"])
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, flags):
+    # OpenBLAS's threaded dot product splits its sum by the thread count, so
+    # a residual or norm taken through it moves in the last bits; the reports
+    # are written under the same relative names, so they must be equal bytes
+    env = {**os.environ, "PYTHONPATH": str(Path(biotsplit.__file__).resolve().parents[1])}
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        done = subprocess.run([sys.executable, "-m", "biotsplit.cli", "--preset", "nu03",
+                               "--n0", "8", "--levels", "3", *flags,
+                               "--out-json", "report.json", "--out-csv", "report.csv"],
+                              capture_output=True, text=True, cwd=cwd, timeout=300,
+                              env={**env, "OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+        outputs.append([done.stdout, (cwd / "report.json").read_text(),
+                        (cwd / "report.csv").read_text()])
+    assert outputs[0] == outputs[1]
+
+
 def test_nan_rate_fails_rate_check():
     finest = {k: floor + 0.5 for k, floor in RATE_FLOORS.items()}
     study = SimpleNamespace(rates=lambda: [None, finest])

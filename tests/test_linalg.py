@@ -1,8 +1,13 @@
 """Direct solver contracts."""
 import ctypes
 import importlib.util
+import os
+import subprocess
+import sys
 import tracemalloc
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from biotsplit.benchmark import benchmark_loads, make_case, run_study
 from biotsplit.biot import build_system
 from biotsplit.linalg import SingularMatrixError, lu_factor
 from biotsplit.mesh import TriMesh, build_uniform, dissection_keys, refine
-from helpers import block_matrix
+from helpers import block_matrix, superlu_calling
 
 
 def random_spd(n, rng):
@@ -185,6 +190,81 @@ def test_lu_panel_width_keeps_the_fill_and_the_diagonal_pivots(systems_32, name)
     assert np.array_equal(fact._lu.perm_r, np.arange(n))
 
 
+@pytest.mark.parametrize("name", ["coupled", "stokes"])
+def test_lu_factor_is_the_factor_that_splu_returns(name):
+    # lu_factor makes the gstrf call that splu makes with these options; if a
+    # scipy upgrade changes that private call, the factors part here
+    case = make_case("nu03")
+    system = build_system(build_uniform(16), case.params, benchmark_loads(case))
+    block, dofs, _ = system._block(name)
+    A = constrain_matrix(block, dofs, system.discretization.orders[name])
+    ours = lu_factor(A)._lu
+    theirs = spla.splu(A.T, permc_spec="NATURAL", diag_pivot_thresh=1e-3,
+                       panel_size=linalg._PANEL_SIZE, options=dict(SymmetricMode=True))
+    assert ours.nnz == theirs.nnz
+    assert np.array_equal(ours.perm_r, theirs.perm_r)
+    assert np.array_equal(ours.perm_c, theirs.perm_c)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    assert np.array_equal(ours.solve(b, trans="T"), theirs.solve(b, trans="T"))
+
+
+def _run_python(code):
+    """stdout of ``code`` run by a fresh interpreter that imports this biotsplit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(linalg.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_a_study_loads_neither_scipy_linalg_nor_scipy_sparse_linalg():
+    # their packages load 77 modules and about 8.5 MB that no solve here calls;
+    # SuperLU's extension module is loaded on its own
+    out = _run_python(
+        "import sys\n"
+        "from biotsplit import make_case, run_study\n"
+        "run_study('coupled', make_case('nu03'), levels=2, n0=4)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n")
+    assert out.strip() == "['scipy.sparse.linalg._dsolve._superlu']"
+
+
+def test_scipy_sparse_linalg_imported_later_shares_the_superlu_module():
+    out = _run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "import scipy.sparse as sparse\n"
+        "from biotsplit import linalg\n"
+        "A = sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))\n"
+        "fact = linalg.lu_factor(A)\n"
+        "import scipy.sparse.linalg as spla\n"
+        "print(spla.SuperLU is type(fact._lu), sys.modules[linalg._SUPERLU] is linalg._superlu)\n"
+        "print(spla.splu(A.tocsc()).solve(np.array([3.0, 3.0])).tolist())\n")
+    assert out.split("\n")[:2] == ["True True", "[1.0, 1.0]"]
+
+
+def test_superlu_is_imported_the_ordinary_way_where_its_file_is_not_found(monkeypatch):
+    searched, imported = [], []
+    module = types.SimpleNamespace(gstrf=None)
+
+    def find_spec(name, path):
+        searched.append((name, path))
+
+    def import_module(name):
+        imported.append(name)
+        return module
+
+    # a module table without the extension, and an import system that finds no file
+    monkeypatch.setattr(linalg, "sys", types.SimpleNamespace(modules={}))
+    monkeypatch.setattr(linalg, "importlib", types.SimpleNamespace(
+        machinery=types.SimpleNamespace(PathFinder=types.SimpleNamespace(find_spec=find_spec)),
+        import_module=import_module))
+    assert linalg._find_superlu() is module
+    where = os.path.join(os.path.dirname(sparse.__file__), "linalg", "_dsolve")
+    assert searched == [(linalg._SUPERLU, [where])]
+    assert imported == [linalg._SUPERLU]
+
+
 def test_coupled_fill_at_64_is_below_the_minimum_degree_fill():
     # a minimum-degree order (MMD on A + A^T after an RCM numbering) fills
     # this matrix with 13.38M nnz; nested dissection on grid lines with 8.41M
@@ -259,10 +339,11 @@ def test_factorization_reuse_is_bit_identical(rng):
     assert np.array_equal(fact.solve(b)[0], fact.solve(b)[0])
 
 
-def _splu_raising(exc):
-    def splu(*args, **kwargs):
+def _superlu_raising(exc):
+    """A stand-in for scipy's SuperLU module whose ``gstrf`` raises ``exc``."""
+    def gstrf(*args, **kwargs):
         raise exc
-    return splu
+    return types.SimpleNamespace(gstrf=gstrf)
 
 
 @pytest.mark.parametrize("message", [
@@ -270,7 +351,7 @@ def _splu_raising(exc):
     "Can't expand MemType 1: jcol 7",
 ])
 def test_lu_reports_superlu_out_of_memory(monkeypatch, rng, message):
-    monkeypatch.setattr(linalg.spla, "splu", _splu_raising(RuntimeError(message)))
+    monkeypatch.setattr(linalg, "_superlu", _superlu_raising(RuntimeError(message)))
     A = random_spd(12, rng)
     with pytest.raises(MemoryError,
                        match="12x12 matrix with 144 nonzeros ran out of memory") as info:
@@ -282,7 +363,7 @@ def test_lu_reports_superlu_out_of_memory(monkeypatch, rng, message):
 def test_lu_wraps_superlu_system_error(monkeypatch, rng):
     # seen under a ulimit -v cap: SuperLU then rejects its own arguments
     exc = SystemError("gstrf was called with invalid arguments")
-    monkeypatch.setattr(linalg.spla, "splu", _splu_raising(exc))
+    monkeypatch.setattr(linalg, "_superlu", _superlu_raising(exc))
     with pytest.raises(RuntimeError, match="may have run out of memory") as info:
         lu_factor(random_spd(12, rng))
     assert "12x12" in str(info.value) and "gstrf" in str(info.value)
@@ -291,7 +372,7 @@ def test_lu_wraps_superlu_system_error(monkeypatch, rng):
 
 def test_lu_exactly_singular_stays_singular(monkeypatch, rng):
     exc = RuntimeError("Factor is exactly singular")
-    monkeypatch.setattr(linalg.spla, "splu", _splu_raising(exc))
+    monkeypatch.setattr(linalg, "_superlu", _superlu_raising(exc))
     with pytest.raises(SingularMatrixError, match="Factor is exactly singular"):
         lu_factor(random_spd(12, rng))
 
@@ -299,16 +380,14 @@ def test_lu_exactly_singular_stays_singular(monkeypatch, rng):
 def test_lu_returns_the_free_heap_before_superlu(monkeypatch, rng):
     events = []
     monkeypatch.setattr(linalg, "_malloc_trim", lambda pad: events.append(("trim", pad)))
-    splu = spla.splu
 
-    def recorded(*args, **kwargs):
-        events.append(("splu", kwargs.get("panel_size")))
-        return splu(*args, **kwargs)
+    def recorded(*args, options, **kwargs):
+        events.append(("gstrf", options["PanelSize"]))
 
-    monkeypatch.setattr(linalg.spla, "splu", recorded)
+    monkeypatch.setattr(linalg, "_superlu", superlu_calling(recorded))
     lu_factor(random_spd(12, rng))
     # a narrow panel: SuperLU's workspace grows with it and lives to the end
-    assert events == [("trim", 0), ("splu", 8)]
+    assert events == [("trim", 0), ("gstrf", 8)]
 
 
 def test_lu_factors_where_the_c_library_has_no_malloc_trim(monkeypatch, rng):
@@ -361,7 +440,7 @@ def test_malloc_trim_is_declared_with_its_c_signature():
 
 def test_run_study_names_out_of_memory(monkeypatch):
     exc = RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()")
-    monkeypatch.setattr(linalg.spla, "splu", _splu_raising(exc))
+    monkeypatch.setattr(linalg, "_superlu", _superlu_raising(exc))
     with pytest.raises(RuntimeError, match=r"level 1 \(1/h=4\) failed: .*out of memory"):
         run_study("coupled", make_case("nu03", T=1e-3), levels=2, n0=4)
 
@@ -373,16 +452,14 @@ def test_splu_gets_the_only_copy_of_the_system(monkeypatch):
     # block kept alive would more than double it)
     case = make_case("nu03")
     seen = {}
-    splu = spla.splu
 
-    def probe(A, *args, **kwargs):
+    def probe(n, nnz, data, indices, indptr, **kwargs):
         numpy_domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
         traces = tracemalloc.take_snapshot().filter_traces([numpy_domain]).traces
         seen["live"] = sum(trace.size for trace in traces)
-        seen["matrix"] = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-        return splu(A, *args, **kwargs)
+        seen["matrix"] = data.nbytes + indices.nbytes + indptr.nbytes
 
-    monkeypatch.setattr(linalg.spla, "splu", probe)
+    monkeypatch.setattr(linalg, "_superlu", superlu_calling(probe))
     for name in ("stokes", "coupled"):
         system = build_system(build_uniform(32), case.params, benchmark_loads(case))
         tracemalloc.start()
