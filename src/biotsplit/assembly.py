@@ -4,8 +4,8 @@ Every volume term uses the same degree-5 triangle rule; boundary terms use a
 5-point Gauss rule per edge.  Element matrices are reference tensors contracted
 with each triangle's affine geometry (Kirby & Logg, ACM TOMS 32, 2006).  The
 scalar (test, trial) pattern is sorted once per form; matrices are returned as
-canonical ``scipy.sparse`` CSR, duplicate element contributions summed in
-element order.
+canonical ``linalg.CSR``, duplicate element contributions summed in element
+order, and a vector form's component blocks written side by side into it.
 """
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .fem import (P1, P2_VECTOR, Space, affine_maps, edge_quadrature, eval_basis,
                   physical_points, quadrature)
+from .linalg import COO, CSR
 from .mesh import NEUMANN_TAGS, SIDE_NORMALS
 
 ELASTICITY = "elasticity"      # (eps(u), eps(v)) on the vector space
@@ -97,7 +97,7 @@ class PhysParams:
         return self.alpha ** 2 / self.lam / self.c_p
 
 
-def assemble_form(kind: str, trial: Space, test: Space) -> sparse.csr_matrix:
+def assemble_form(kind: str, trial: Space, test: Space) -> CSR:
     """Assemble a unit-coefficient bilinear form into a CSR matrix.
 
     Rows correspond to test-space dofs, columns to trial-space dofs.  Physical
@@ -119,14 +119,27 @@ def assemble_form(kind: str, trial: Space, test: Space) -> sparse.csr_matrix:
     key = key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     pattern = key[starts]
-    indptr = np.searchsorted(pattern, np.arange(test.num_scalar_dofs + 1) * nsq)
-    grid = [[None] * trial.components for _ in range(test.components)]
+    ns, nnz = test.num_scalar_dofs, len(pattern)
+    nc, nd = test.components, trial.components
+    # Stitched row r of test component c holds row r of the blocks (c, 0),
+    # ..., (c, nd - 1) side by side, block d's columns offset by d * nsq: entry
+    # e of a scalar block, in its row r, goes to e + (nd - 1) * indptr[r]
+    # + d * width[r] (``at + d * step``) of block row c.
+    indptr = np.searchsorted(pattern, np.arange(ns + 1) * nsq)
+    width = np.diff(indptr)
+    row = np.repeat(np.arange(ns), width)
+    at = np.arange(nnz) + (nd - 1) * indptr[row]
+    step = width[row]
+    indices = np.empty(nd * nnz, dtype=np.int32)
+    for d in range(nd):
+        indices[at + d * step] = pattern % nsq + d * nsq
+    data = np.empty(nc * nd * nnz)
     # built after the sort, so the element blocks never share memory with it
     for (c, d), ke in _element_blocks(kind, trial, test).items():
-        data = np.add.reduceat(ke.reshape(-1)[order], starts)
-        grid[c][d] = sparse.csr_matrix((data, pattern % nsq, indptr),
-                                       shape=(test.num_scalar_dofs, nsq))
-    return sparse.bmat(grid, format="csr")
+        data[c * nd * nnz + at + d * step] = np.add.reduceat(ke.reshape(-1)[order], starts)
+    stitched = np.zeros(nc * ns + 1, dtype=np.int32)
+    np.cumsum(np.tile(nd * width, nc), out=stitched[1:])
+    return CSR((nc * ns, nd * nsq), data, np.tile(indices, nc), stitched)
 
 
 def _element_blocks(kind: str, trial: Space, test: Space) -> dict:
@@ -253,8 +266,7 @@ def _boundary_load(test: Space, data) -> np.ndarray:
     return out
 
 
-def constrain_matrix(A: sparse.coo_matrix, dofs: np.ndarray,
-                     order: np.ndarray) -> sparse.csr_matrix:
+def constrain_matrix(A: COO, dofs: np.ndarray, order: np.ndarray) -> CSR:
     """Eliminate rows and columns ``dofs`` of the square COO matrix A,
     identity on constrained dofs, and number the result in ``order``: row and
     column k of the returned canonical CSR are row and column ``order[k]`` of
@@ -278,27 +290,31 @@ def constrain_matrix(A: sparse.coo_matrix, dofs: np.ndarray,
     rows = np.concatenate([position[A.row[kept]], pinned])
     cols = np.concatenate([position[A.col[kept]], pinned])
     values = np.concatenate([A.data[kept], np.ones(len(pinned))])
-    return sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
+    return CSR.from_coo((n, n), rows, cols, values)
 
 
-def dirichlet_columns(A: sparse.coo_matrix, dofs: np.ndarray) -> sparse.csc_matrix:
+def dirichlet_columns(A: COO, dofs: np.ndarray) -> CSR:
     """Column slice A[:, dofs] of distinct ``dofs``, with A a COO matrix
     holding no duplicate entries, used for boundary-value elimination
-    (precomputable).  The result is bit for bit ``csc_matrix(A)[:, dofs]``
-    (stored zeros included), so its product adds in increasing column order.
+    (precomputable), as the CSR of its transpose: ``rmatvec`` is its product.
+    Its arrays are bit for bit those of ``csc_matrix(A)[:, dofs]`` (stored
+    zeros included), so the product adds in increasing column order.
     """
     column = np.full(A.shape[1], -1, dtype=np.int32)
     column[dofs] = np.arange(len(dofs), dtype=np.int32)
     c = column[A.col]
     at = np.flatnonzero(c >= 0)
-    return sparse.csc_matrix((A.data[at], (A.row[at], c[at])), shape=(A.shape[0], len(dofs)))
+    return CSR.from_coo((len(dofs), A.shape[0]), c[at], A.row[at], A.data[at])
 
 
-def export_matrix(A: sparse.spmatrix, path: str) -> None:
+def export_matrix(A: CSR, path: str) -> None:
     """Write a matrix in Matrix Market coordinate format to ``path``, with
     ``.mtx`` appended as ``scipy.io.mmwrite`` appends it.  The file is opened
     here, because ``mmwrite`` writes nothing and raises nothing on a bad path."""
-    import scipy.io  # here, so that importing the package loads no file readers
+    # here, so that importing the package loads neither scipy's sparse
+    # package nor its file readers
+    import scipy.io
+    import scipy.sparse as sparse
 
     with open(path if path.endswith(".mtx") else path + ".mtx", "wb") as f:
-        scipy.io.mmwrite(f, sparse.coo_matrix(A))
+        scipy.io.mmwrite(f, sparse.coo_matrix(A.tocsr()))

@@ -19,7 +19,9 @@ algorithm factors its matrix once and reuses it for every step/iteration;
 loads and boundary data are separable profiles scaled by a time factor.
 The parameter-free part of a system (spaces, unit forms, Dirichlet dofs,
 block orders) is built once per mesh and shared by every system on an equal
-mesh; factors are not shared.
+mesh; factors are not shared.  Block systems are stitched from the forms as
+raw triplets (``linalg.bmat``) and eliminated into the library's own CSR
+(``linalg.CSR``), so no part of a solve imports ``scipy.sparse``.
 """
 from __future__ import annotations
 
@@ -29,14 +31,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .assembly import (BOUNDARY_FLUX, BOUNDARY_TRACTION, DIV_COUPLING, DIV_DIV,
                        ELASTICITY, MASS, P_STIFFNESS, VOLUME_LOAD, PhysParams,
                        assemble_form, assemble_functional, constrain_matrix,
                        dirichlet_columns)
 from .fem import P1, P2_VECTOR, Space, interpolate
-from .linalg import Factorization, inner, lu_factor
+from .linalg import COO, Factorization, bmat, inner, lu_factor
 from .mesh import DIRICHLET_TAGS, TriMesh, dissection_keys
 
 
@@ -181,22 +182,24 @@ class DiscreteSystem:
     # -- block systems ------------------------------------------------------
 
     def _block(self, name: str):
-        """One block system as ``(A, dofs, profile)``: the raw matrix (COO),
-        its Dirichlet dofs and their profile (``[gu; gp]``, ``gu``, ``gp``, or
-        empty for ``mass``).  The (p, p) block is the one form ``c_p*M + K*dt*S``."""
+        """One block system as ``(A, dofs, profile)``: the raw matrix (a ``COO``
+        with the entries ``scipy.sparse.bmat`` would stitch), its Dirichlet dofs and their profile (``[gu; gp]``, ``gu``, ``gp``, or
+        empty for ``mass``).  The (p, p) block is the one form ``c_p*M + K*dt*S``,
+        summed entry by entry on the P1 pattern that M and S share."""
         p = self.params
-        E, B, M = self.elasticity, self.div_coupling, self.mass
+        M = self.mass.tocoo()
         if name == "mass":
-            return M.tocoo(), np.array([], dtype=np.int64), np.zeros(0)
-        reaction = p.c_p * M + p.K * p.dt * self.stiffness
+            return M, np.array([], dtype=np.int64), np.zeros(0)
+        reaction = COO(M.shape, M.row, M.col, p.c_p * M.data + p.K * p.dt * self.stiffness.data)
         if name == "pressure":
-            return reaction.tocoo(), self.bd_p, self.gp_profile
+            return reaction, self.bd_p, self.gp_profile
+        E, B = self.elasticity.tocoo(), self.div_coupling.tocoo()
         stokes = [[2 * p.mu * E, -B], [-B.T, -(1 / p.lam) * M]]
         if name == "stokes":
-            return sparse.bmat(stokes, format="coo"), self.bd_u, self.gu_profile
+            return bmat(stokes), self.bd_u, self.gu_profile
         if name == "coupled":
-            A = sparse.bmat([stokes[0] + [None], stokes[1] + [p.c_xi * M],
-                             [None, p.c_xi * M, -reaction]], format="coo")
+            A = bmat([stokes[0] + [None], stokes[1] + [p.c_xi * M],
+                      [None, p.c_xi * M, -reaction]])
             return (A, np.concatenate([self.bd_u, self.offsets[2] + self.bd_p]),
                     np.concatenate([self.gu_profile, self.gp_profile]))
         raise ValueError(f"unknown block system {name!r}")
@@ -223,7 +226,7 @@ class DiscreteSystem:
             self.factors[name] = lu_factor(constrained)
         dofs, columns, profile = self._boundary[name]
         values = self.loads.time_factor(t) * profile
-        b = b - columns @ values
+        b = b - columns.rmatvec(values)
         b[dofs] = values
         y, residual = self.factors[name].solve(b.take(order))
         self.max_residual = float(np.maximum(self.max_residual, residual))  # NaN sticks
@@ -249,7 +252,7 @@ class DiscreteSystem:
         initial level, which the discrete energy identity requires.
         """
         p = self.params
-        rhs = p.alpha * (self.mass @ p_values) - p.lam * (self.div_coupling.T @ u_values)
+        rhs = p.alpha * (self.mass @ p_values) - p.lam * self.div_coupling.rmatvec(u_values)
         return self.solve("mass", rhs, 0.0)
 
     # -- shared right-hand-side pieces ------------------------------------

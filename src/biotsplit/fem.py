@@ -46,10 +46,18 @@ def quadrature() -> QuadratureRule:
     return QuadratureRule(np.array(pts), 0.5 * np.array(wts), 5)
 
 
+#: The 5-point Gauss-Legendre rule on [-1, 1]: the float64 values of numpy's
+#: ``polynomial.legendre.leggauss(5)``, written out because ``numpy.polynomial``
+#: is 9 modules that would stay resident in every process for this one call.
+_GAUSS5_NODES = (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831,
+                 0.906179845938664)
+_GAUSS5_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                   0.4786286704993663, 0.23692688505618928)
+
+
 def edge_quadrature() -> tuple[np.ndarray, np.ndarray]:
     """5-point Gauss rule on the parameter interval [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(5)
-    return (nodes + 1.0) / 2.0, weights / 2.0
+    return (np.array(_GAUSS5_NODES) + 1.0) / 2.0, np.array(_GAUSS5_WEIGHTS) / 2.0
 
 
 def eval_basis(kind: str, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,8 +168,11 @@ class Space:
         return np.column_stack([mesh.boundary_edges, mesh.num_vertices + mesh.boundary_edge_ids])
 
     def boundary_scalar_dofs(self, tags) -> np.ndarray:
-        """Sorted scalar dofs whose nodes lie on boundary edges with the given tags."""
-        return np.unique(self.boundary_edge_dofs()[np.isin(self.mesh.boundary_tags, tags)])
+        """Sorted scalar dofs whose nodes lie on boundary edges with the given tags.
+        (Not ``np.unique``, which loads ``numpy.ma`` to check for a mask.)"""
+        on = np.zeros(self.num_scalar_dofs, dtype=bool)
+        on[self.boundary_edge_dofs()[np.isin(self.mesh.boundary_tags, tags)]] = True
+        return np.flatnonzero(on)
 
 
 def affine_maps(mesh: TriMesh):

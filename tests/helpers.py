@@ -2,7 +2,7 @@
 evaluation of a finite-element field, the raw block systems, the strong-form
 residual of the manufactured solution, the power bound and exact rate of the
 split iteration, criterion 02's best-approximation oracles and decision, and
-a stand-in for scipy's SuperLU module."""
+a stand-in for scipy's SuperLU module, and the forms as ``scipy.sparse`` builds them."""
 import types
 
 import numpy as np
@@ -10,7 +10,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from biotsplit import linalg
-from biotsplit.assembly import MASS, P_STIFFNESS, assemble_form
+from biotsplit.assembly import MASS, P_STIFFNESS, _element_blocks, assemble_form
 from biotsplit.benchmark import PI
 from biotsplit.biot import BiotState, sweep
 from biotsplit.fem import Space, affine_maps, eval_basis, quadrature
@@ -60,13 +60,34 @@ def evaluate(space, values, points) -> np.ndarray:
     return out[:, 0] if space.components == 1 else out
 
 
+def scipy_form(kind, trial, test):
+    """``assemble_form`` by ``scipy.sparse``: each component block a canonical
+    ``csr_matrix`` on the sorted scalar pattern, the blocks stitched by
+    ``sparse.bmat``; the reference that the library's CSR is checked against."""
+    nsq = trial.num_scalar_dofs
+    key = (test.cell_dofs()[:, :, None].astype(np.int64) * nsq
+           + trial.cell_dofs()[:, None, :]).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    pattern = key[starts]
+    indptr = np.searchsorted(pattern, np.arange(test.num_scalar_dofs + 1) * nsq)
+    grid = [[None] * trial.components for _ in range(test.components)]
+    for (c, d), ke in _element_blocks(kind, trial, test).items():
+        grid[c][d] = sparse.csr_matrix(
+            (np.add.reduceat(ke.reshape(-1)[order], starts), pattern % nsq, indptr),
+            shape=(test.num_scalar_dofs, nsq))
+    return sparse.bmat(grid, format="csr")
+
+
 def block_matrix(system, name):
     """The raw block system ``name`` of ``system`` and its Dirichlet dofs, by
     the ``bmat`` formula as a CSR: the reference that ``DiscreteSystem._block``
     and the elimination are checked against."""
     p = system.params
     c_p, c_xi = p.c_p, p.c_xi
-    E, B, M, S = system.elasticity, system.div_coupling, system.mass, system.stiffness
+    E, B, M, S = (form.tocsr() for form in (system.elasticity, system.div_coupling,
+                                            system.mass, system.stiffness))
     if name == "coupled":
         return sparse.bmat([
             [2 * p.mu * E, -B, None],
@@ -170,9 +191,9 @@ def _projection_errors(space, fields):
     wdet = np.outer(det, rule.weights)
     dofs = space.cell_dofs()
 
-    mass = assemble_form(MASS, space, space)
+    mass = assemble_form(MASS, space, space).tocsr()
     mass_lu = splu(mass.tocsc())
-    h1_lu = splu((mass + assemble_form(P_STIFFNESS, space, space)).tocsc())
+    h1_lu = splu((mass + assemble_form(P_STIFFNESS, space, space).tocsr()).tocsc())
 
     def load(element_vectors):
         return np.bincount(dofs.ravel(), element_vectors.ravel(),

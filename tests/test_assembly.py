@@ -33,7 +33,7 @@ from biotsplit.biot import BiotState, LoadSet, build_system, discretize
 from biotsplit.fem import Space, affine_maps, eval_basis, interpolate, quadrature
 from biotsplit.mesh import (DIRICHLET_TAGS, NEUMANN_TAGS, TriMesh, build_uniform,
                             dissection_keys)
-from helpers import block_matrix, superlu_calling
+from helpers import block_matrix, scipy_form, superlu_calling
 
 
 def unit_triangle():
@@ -49,7 +49,7 @@ def unit_triangle():
 def test_p1_mass_element_matrix():
     # area A = 1/2: M = A/12 * [[2,1,1],[1,2,1],[1,1,2]]
     space = Space(unit_triangle(), "p1")
-    M = assemble_form(MASS, space, space).toarray()
+    M = assemble_form(MASS, space, space).tocsr().toarray()
     expect = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
     np.testing.assert_allclose(M, expect, atol=1e-14)
 
@@ -57,7 +57,7 @@ def test_p1_mass_element_matrix():
 def test_p1_stiffness_element_matrix():
     # gradients (-1,-1), (1,0), (0,1) and area 1/2
     space = Space(unit_triangle(), "p1")
-    K = assemble_form(P_STIFFNESS, space, space).toarray()
+    K = assemble_form(P_STIFFNESS, space, space).tocsr().toarray()
     expect = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     np.testing.assert_allclose(K, expect, atol=1e-14)
 
@@ -74,7 +74,7 @@ def test_p2_mass_matches_symbolic_integration():
          for bj in basis] for bi in basis])
 
     space = Space(unit_triangle(), "p2")
-    M = assemble_form(MASS, space, space).toarray()
+    M = assemble_form(MASS, space, space).tocsr().toarray()
     dofs = space.cell_dofs()[0]
     np.testing.assert_allclose(M[np.ix_(dofs, dofs)], local, atol=1e-14)
 
@@ -84,7 +84,7 @@ def test_mass_total_sums_to_domain_area():
     for kind in ("p1", "p2"):
         space = Space(mesh, kind)
         M = assemble_form(MASS, space, space)
-        assert M.sum() == pytest.approx(1.0, abs=1e-13)
+        assert M.tocsr().sum() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_stiffness_annihilates_constants():
@@ -259,7 +259,7 @@ def test_constrain_matrix_pins_and_stays_symmetric():
     space = Space(build_uniform(3), "p2")
     K = assemble_form(P_STIFFNESS, space, space)
     dofs = space.boundary_scalar_dofs((1, 3))
-    C = constrain_matrix(K.tocoo(), dofs, np.arange(space.num_dofs)).toarray()
+    C = constrain_matrix(K.tocoo(), dofs, np.arange(space.num_dofs)).tocsr().toarray()
     np.testing.assert_allclose(C, C.T, atol=1e-14)
     np.testing.assert_allclose(C[np.ix_(dofs, dofs)], np.eye(dofs.size), atol=1e-15)
     free = np.setdiff1d(np.arange(space.num_dofs), dofs)
@@ -274,9 +274,9 @@ def test_apply_dirichlet_reproduces_linear_solution():
     dofs = space.boundary_scalar_dofs((1, 3))
     A = constrain_matrix(K.tocoo(), dofs, np.arange(space.num_dofs))
     g = interpolate(space, lambda x, y: x)[dofs]
-    b = -(dirichlet_columns(K.tocoo(), dofs) @ g)
+    b = -dirichlet_columns(K.tocoo(), dofs).rmatvec(g)
     b[dofs] = g
-    u = spla.spsolve(A, b)
+    u = spla.spsolve(A.tocsr(), b)
     np.testing.assert_allclose(u, space.dof_coords()[:, 0], atol=1e-12)
 
 
@@ -331,7 +331,7 @@ def test_export_matrix_roundtrip(tmp_path):
     path = tmp_path / "mass.mtx"
     export_matrix(M, str(path))
     back = scipy.io.mmread(str(path))
-    np.testing.assert_allclose(back.toarray(), M.toarray(), atol=1e-15)
+    np.testing.assert_allclose(back.toarray(), M.tocsr().toarray(), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +414,9 @@ def test_forms_match_pointwise_quadrature_on_distorted_mesh(distorted, kind, tri
                                                             test_kind):
     trial, test = Space(distorted, trial_kind), Space(distorted, test_kind)
     A = assemble_form(kind, trial, test)
-    assert A.has_canonical_format
+    assert A.tocsr().has_canonical_format
     expect = brute_force_matrix(kind, trial, test)
-    assert np.abs(A.toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
+    assert np.abs(A.tocsr().toarray() - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("kind", ["p1", "p2"])
@@ -436,7 +436,7 @@ def test_mass_matrix_is_the_element_order_sum(distorted, kind):
     starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
     expect = np.zeros((space.num_dofs, space.num_dofs))
     expect[rows[starts], cols[starts]] = np.add.reduceat(data, starts)
-    assert np.array_equal(assemble_form(MASS, space, space).toarray(), expect)
+    assert np.array_equal(assemble_form(MASS, space, space).tocsr().toarray(), expect)
 
 
 def test_errors_match_pointwise_loop_on_distorted_mesh(distorted):
@@ -533,15 +533,50 @@ def assert_same_bits(got, expect):
 
 def assert_eliminates_like_the_formulas(block, dofs, order, A):
     # block is a raw COO block and A its matrix, by the bmat formula
-    assert_same_bits(block.tocsr(), A)
+    assert_same_bits(sparse.coo_matrix((block.data, (block.row, block.col)),
+                                       shape=block.shape).tocsr(), A)
     expect = product_elimination(A, dofs)
     assert_same_bits(constrain_matrix(block, dofs, order), in_factor_order(expect, order))
     # in the natural order it is the matrix that --dump-matrix writes
     assert_same_bits(constrain_matrix(block, dofs, np.arange(A.shape[0])), expect)
+    # the columns are kept as the CSR of their transpose: the CSC's arrays
     columns, expect = dirichlet_columns(block, dofs), sparse.csc_matrix(A)[:, dofs]
-    assert_same_bits(columns, expect)
+    assert_same_bits(columns, expect.T)
     values = np.random.default_rng(3).standard_normal(len(dofs))
-    assert (columns @ values).tobytes() == (expect @ values).tobytes()
+    assert columns.rmatvec(values).tobytes() == (expect @ values).tobytes()
+
+
+def assert_same_products(got, expect, rng):
+    """``A @ x`` and ``A.T @ x`` of the library's CSR and of scipy's, bit for bit."""
+    x, y = rng.standard_normal(expect.shape[1]), rng.standard_normal(expect.shape[0])
+    assert (got @ x).tobytes() == (expect @ x).tobytes()
+    assert got.rmatvec(y).tobytes() == (expect.T @ y).tobytes()
+
+
+@pytest.mark.parametrize("preset", ["nu03", "nu0499"])
+def test_library_matrices_are_the_ones_scipy_sparse_builds(preset):
+    # the library's CSR runs scipy's own kernels on the same arrays, so the
+    # forms, the eliminations, the Dirichlet columns and the products keep
+    # every bit of what scipy.sparse builds from the same inputs
+    rng = np.random.default_rng(32)
+    case = make_case(preset)
+    system = build_system(build_uniform(8), case.params, benchmark_loads(case))
+    V, M = system.V, system.M
+    for name, kind, trial, test in [("elasticity", ELASTICITY, V, V),
+                                    ("div_coupling", DIV_COUPLING, M, V),
+                                    ("mass", MASS, M, M), ("stiffness", P_STIFFNESS, M, M)]:
+        form, expect = getattr(system, name), scipy_form(kind, trial, test)
+        assert_same_bits(form, expect)
+        assert_same_products(form, expect, rng)
+    # the (p, p) block adds the values of M and S on their one pattern
+    for array in ("indptr", "indices"):
+        assert np.array_equal(getattr(system.mass, array), getattr(system.stiffness, array))
+    for name in ("coupled", "stokes", "pressure", "mass"):
+        block, dofs, _ = system._block(name)
+        A, order = block_matrix(system, name)[0], system.discretization.orders[name]
+        assert_eliminates_like_the_formulas(block, dofs, order, A)
+        assert_same_products(constrain_matrix(block, dofs, order),
+                             in_factor_order(product_elimination(A, dofs), order), rng)
 
 
 @pytest.mark.parametrize("name", ["coupled", "stokes", "pressure", "mass"])
@@ -579,7 +614,7 @@ def test_one_pass_elimination_without_a_stored_diagonal():
         np.array([0, 3, 6, 8, 11, 14])), shape=(5, 5))
     assert_eliminates_like_the_formulas(block, dofs, np.array([3, 1, 4, 0, 2]), A)
     C = constrain_matrix(block, dofs, np.arange(5))
-    np.testing.assert_array_equal(C.toarray()[np.ix_(dofs, dofs)], np.eye(2))
+    np.testing.assert_array_equal(C.tocsr().toarray()[np.ix_(dofs, dofs)], np.eye(2))
     assert C.indices[C.indptr[3]:C.indptr[4]].tolist() == [0, 4]
 
 

@@ -264,7 +264,7 @@ def test_projected_total_pressure_satisfies_constraint(small_system, nu03_case):
     p = interpolate(small_system.M, nu03_case.p_profile)
     xi = small_system.project_total_pressure(u, p)
     residual = (small_system.mass @ xi - params.alpha * (small_system.mass @ p)
-                + params.lam * (small_system.div_coupling.T @ u))
+                + params.lam * small_system.div_coupling.rmatvec(u))
     assert np.abs(residual).max() < 1e-12
     # and it approximates the closed-form total pressure
     xi_exact = interpolate(small_system.M, nu03_case.xi_profile)

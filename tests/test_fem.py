@@ -76,6 +76,14 @@ def test_edge_quadrature_exact_to_degree_nine():
     assert abs(weights @ nodes ** 10 - 1 / 11) > 1e-10
 
 
+def test_edge_quadrature_is_numpys_gauss_rule():
+    # written out without numpy.polynomial, the rule keeps every bit of numpy's
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    got_nodes, got_weights = edge_quadrature()
+    assert got_nodes.tobytes() == ((nodes + 1.0) / 2.0).tobytes()
+    assert got_weights.tobytes() == (weights / 2.0).tobytes()
+
+
 point_in_triangle = st.tuples(
     st.floats(0, 1), st.floats(0, 1)
 ).map(lambda t: (t[0], t[1] * (1 - t[0])))

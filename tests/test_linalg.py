@@ -53,6 +53,24 @@ def test_lu_random_spd_residual(rng):
     assert vars(fact) == state  # a solve changes nothing on the factorization
 
 
+@pytest.mark.parametrize("row, col", [([0, 2], [0, 1]), ([0, 1], [0, -1]),
+                                      ([0, 2 ** 32], [0, 1]), ([0], [0, 1])],
+                         ids=["row-past-end", "negative-col", "wraps-int32", "lengths"])
+def test_csr_from_coo_rejects_entries_outside_the_matrix(row, col):
+    # the compiled kernels would write outside their arrays
+    with pytest.raises(ValueError):
+        linalg.CSR.from_coo((2, 2), np.array(row), np.array(col), np.ones(2))
+
+
+def test_csr_multiplies_only_vectors_of_its_size():
+    A = linalg.CSR.from_coo((2, 3), np.array([0, 1]), np.array([2, 0]), np.ones(2))
+    for x in (np.ones(2), np.ones((3, 1))):
+        with pytest.raises(ValueError):
+            A @ x
+    with pytest.raises(ValueError):
+        A.rmatvec(np.ones(3))
+
+
 def test_lu_rejects_nonsquare():
     with pytest.raises(ValueError):
         lu_factor(sparse.csr_matrix(np.ones((2, 3))))
@@ -170,7 +188,7 @@ def test_lu_fill_is_below_colamd(systems_32, name, bound):
     A, dofs, _ = systems_32._block(name)
     n = A.shape[0]
     fact = lu_factor(constrain_matrix(A, dofs, systems_32.discretization.orders[name]))
-    colamd = spla.splu(constrain_matrix(A, dofs, np.arange(n)).tocsc(),
+    colamd = spla.splu(constrain_matrix(A, dofs, np.arange(n)).tocsr().tocsc(),
                        permc_spec="COLAMD")
     assert _fill(fact._lu) <= bound * _fill(colamd)
     assert fact.solve(np.ones(n))[1] < 1e-11
@@ -217,16 +235,46 @@ def _run_python(code):
     return done.stdout
 
 
-def test_a_study_loads_neither_scipy_linalg_nor_scipy_sparse_linalg():
-    # their packages load 77 modules and about 8.5 MB that no solve here calls;
-    # SuperLU's extension module is loaded on its own
+#: numpy's lazily loaded submodules that ``scipy.sparse`` loads through its
+#: array-API layer, and that no part of a study needs
+NUMPY_EXTRAS = ("numpy.f2py", "numpy.testing", "numpy.ma", "numpy.polynomial", "numpy.random")
+
+
+def test_import_and_a_study_load_two_scipy_extensions_and_no_scipy_package():
+    # scipy.sparse, scipy._lib and numpy's extra submodules are about 300
+    # modules and 20 MB that would sit under every factorization's peak
     out = _run_python(
         "import sys\n"
+        "import biotsplit\n"
         "from biotsplit import make_case, run_study\n"
         "run_study('coupled', make_case('nu03'), levels=2, n0=4)\n"
+        "run_study('iterative', make_case('nu03'), levels=2, n0=4, iters=2)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n")
-    assert out.strip() == "['scipy.sparse.linalg._dsolve._superlu']"
+        f"             if '.'.join(m.split('.')[:2]) in {NUMPY_EXTRAS!r}))\n")
+    scipy_modules, numpy_extras = out.split("\n")[:2]
+    assert scipy_modules == repr(sorted([linalg._SPARSETOOLS, linalg._SUPERLU]))
+    assert numpy_extras == "[]"
+
+
+def test_scipy_sparse_imported_later_shares_both_extension_modules():
+    out = _run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "from biotsplit import linalg\n"
+        "A = linalg.CSR.from_coo((2, 2), np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),\n"
+        "                        np.array([2.0, 1.0, 1.0, 2.0]))\n"
+        "fact = linalg.lu_factor(A)\n"
+        "import scipy.sparse as sparse\n"
+        "import scipy.sparse._sparsetools as sparsetools\n"
+        "print(sparsetools is linalg._sparsetools,\n"
+        "      sys.modules[linalg._SPARSETOOLS] is linalg._sparsetools)\n"
+        "B = sparse.csr_array(np.array([[2.0, 1.0], [1.0, 2.0]]))\n"
+        "print((B @ np.array([1.0, 1.0])).tolist())\n"
+        "import scipy.sparse.linalg as spla\n"
+        "print(spla.SuperLU is type(fact._lu), sys.modules[linalg._SUPERLU] is linalg._superlu)\n"
+        "print(spla.splu(B.tocsc()).solve(np.array([3.0, 3.0])).tolist())\n")
+    assert out.split("\n")[:4] == ["True True", "[3.0, 3.0]", "True True", "[1.0, 1.0]"]
 
 
 def test_scipy_sparse_linalg_imported_later_shares_the_superlu_module():
@@ -243,7 +291,8 @@ def test_scipy_sparse_linalg_imported_later_shares_the_superlu_module():
     assert out.split("\n")[:2] == ["True True", "[1.0, 1.0]"]
 
 
-def test_superlu_is_imported_the_ordinary_way_where_its_file_is_not_found(monkeypatch):
+def test_extensions_are_imported_the_ordinary_way_where_their_files_are_not_found(monkeypatch):
+    scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
     searched, imported = [], []
     module = types.SimpleNamespace(gstrf=None)
 
@@ -254,15 +303,19 @@ def test_superlu_is_imported_the_ordinary_way_where_its_file_is_not_found(monkey
         imported.append(name)
         return module
 
-    # a module table without the extension, and an import system that finds no file
+    # a module table without the extensions, and an import system that finds
+    # scipy's directory but no file in it
     monkeypatch.setattr(linalg, "sys", types.SimpleNamespace(modules={}))
     monkeypatch.setattr(linalg, "importlib", types.SimpleNamespace(
+        util=types.SimpleNamespace(find_spec=importlib.util.find_spec),
         machinery=types.SimpleNamespace(PathFinder=types.SimpleNamespace(find_spec=find_spec)),
         import_module=import_module))
-    assert linalg._find_superlu() is module
-    where = os.path.join(os.path.dirname(sparse.__file__), "linalg", "_dsolve")
-    assert searched == [(linalg._SUPERLU, [where])]
-    assert imported == [linalg._SUPERLU]
+    names = [linalg._SPARSETOOLS, linalg._SUPERLU]
+    assert [linalg._load_extension(name) for name in names] == [module, module]
+    assert searched == [(linalg._SPARSETOOLS, [os.path.join(scipy_dir, "sparse")]),
+                        (linalg._SUPERLU,
+                         [os.path.join(scipy_dir, "sparse", "linalg", "_dsolve")])]
+    assert imported == names
 
 
 def test_coupled_fill_at_64_is_below_the_minimum_degree_fill():
